@@ -57,15 +57,22 @@ def _parse_manifest(raw: bytes) -> tuple[list[tuple[str, tuple[int, ...]]], int]
         raise CheckpointError(f"unsupported version {version}")
     offset = 12
     entries = []
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal offset
+        if len(raw) - offset < n:
+            raise CheckpointError(f"manifest truncated in entry {len(entries)} {what}")
+        offset += n
+        return raw[offset - n : offset]
+
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        name = raw[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{ndim}I", raw, offset)
-        offset += 4 * ndim
+        (name_len,) = struct.unpack("<I", take(4, "name length"))
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"entry {len(entries)} name is not utf-8: {exc}") from None
+        (ndim,) = struct.unpack("<I", take(4, "ndim"))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "shape"))
         entries.append((name, tuple(int(n) for n in shape)))
     return entries, offset
 

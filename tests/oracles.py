@@ -37,6 +37,36 @@ def conv3d_loops(x, w, bias=None, stride=1, padding=0, dilation=1):
     return out
 
 
+def im2col_full(x, k, stride=1, padding=0, dilation=1):
+    """Whole (B, Cin*k^3, Do*Ho*Wo) patch matrix of a zero-padded volume.
+
+    Returns (col, (Do, Ho, Wo)); rows are ordered (c, i, j, l).
+    """
+    B, Cin = x.shape[:2]
+    xp = np.pad(x, ((0, 0), (0, 0)) + ((padding, padding),) * 3)
+    out_sp = tuple((n + 2 * padding - dilation * (k - 1) - 1) // stride + 1 for n in x.shape[2:])
+    sB, sC, sD, sH, sW = xp.strides
+    view = np.lib.stride_tricks.as_strided(
+        xp,
+        (B, Cin, k, k, k) + out_sp,
+        (sB, sC, sD * dilation, sH * dilation, sW * dilation, sD * stride, sH * stride, sW * stride),
+    )
+    return np.ascontiguousarray(view).reshape(B, Cin * k ** 3, -1), out_sp
+
+
+def conv3d_im2col(x, w, bias=None, stride=1, padding=0, dilation=1):
+    """Untiled im2col cross-correlation: one GEMM against the whole patch
+    matrix, in the input's precision. Reference for the package's conv3d,
+    which splits this GEMM into depth slabs."""
+    B = x.shape[0]
+    Cout, _, k = w.shape[:3]
+    col, out_sp = im2col_full(x, k, stride, padding, dilation)
+    out = np.matmul(w.reshape(Cout, -1), col).reshape(B, Cout, *out_sp)
+    if bias is not None:
+        out = out + bias.reshape(1, Cout, 1, 1, 1)
+    return out
+
+
 def conv_transpose3d_scatter(x, w, bias=None):
     """Scatter-add oracle for the stride-2, 2x2x2 transposed convolution."""
     B, Cin, D, H, W = x.shape

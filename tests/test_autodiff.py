@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from voxseg import autodiff
 from voxseg.autodiff import (
     DropoutMode,
     Tensor,
@@ -23,7 +24,7 @@ from voxseg.autodiff import (
     softmax,
 )
 
-from oracles import conv3d_loops, conv_transpose3d_scatter, matmul_loops
+from oracles import conv3d_im2col, conv3d_loops, conv_transpose3d_scatter, im2col_full, matmul_loops
 
 
 def randt(rng, shape, requires_grad=False, dtype=np.float64):
@@ -116,6 +117,76 @@ class TestConv3d:
         w = Tensor(np.ones((1, 1, 5, 5, 5)))
         with pytest.raises(ValueError, match="larger"):
             conv3d(x, w)
+
+
+class TestConv3dSlabs:
+    """conv3d tiles its im2col GEMM into depth slabs. A tiny slab budget makes
+    small inputs span many slabs; outputs and gradients must still equal the
+    untiled single GEMM bit for bit.
+
+    The planes here hold a multiple of 16 voxels. On other planes a slab can
+    end inside a BLAS column tile, and when a slab GEMM is small enough for
+    OpenBLAS's small-matrix kernel, that tile's last voxels may round
+    differently from one full GEMM. The network's slab GEMMs at the real
+    budget are far above that size; `test_any_shape_matches_untiled`
+    covers odd planes to rounding.
+    """
+
+    # (x shape, Cout, k, stride, padding, dilation, output rows per slab, dtype)
+    CASES = {
+        "uneven_last_slab": ((1, 3, 7, 4, 8), 4, 3, 1, 1, 1, 3, np.float32),
+        "stride2": ((1, 3, 13, 8, 8), 4, 3, 2, 1, 1, 2, np.float32),
+        "dilation2": ((1, 4, 8, 8, 4), 3, 3, 1, 2, 2, 3, np.float32),
+        "batch2": ((2, 3, 7, 4, 4), 5, 3, 1, 1, 1, 2, np.float32),
+        "float64": ((1, 3, 7, 4, 8), 4, 3, 1, 1, 1, 2, np.float64),
+        "k5": ((1, 2, 9, 4, 4), 3, 5, 1, 2, 1, 4, np.float32),
+    }
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_bitwise_equal_to_untiled(self, case, monkeypatch):
+        shape, cout, k, stride, padding, dilation, rows, dtype = case
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(shape).astype(dtype)
+        w = rng.standard_normal((cout, shape[1], k, k, k)).astype(dtype)
+        b = rng.standard_normal(cout).astype(dtype)
+        want = conv3d_im2col(x, w, b, stride, padding, dilation)
+        Do, Ho, Wo = want.shape[2:]
+        monkeypatch.setattr(autodiff, "_SLAB_BYTES", rows * shape[1] * k ** 3 * Ho * Wo * x.itemsize)
+        slabs = []
+        im2col = autodiff._im2col
+        monkeypatch.setattr(autodiff, "_im2col", lambda *a: slabs.append(a) or im2col(*a))
+
+        xt, wt, bt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True), Tensor(b)
+        out = conv3d(xt, wt, bt, stride=stride, padding=padding, dilation=dilation)
+        assert len(slabs) == -(-Do // rows) > 1
+        assert out.data.tobytes() == want.tobytes()
+
+        g = rng.standard_normal(want.shape).astype(dtype)
+        backward((out * Tensor(g)).sum())
+        col, _ = im2col_full(x, k, stride, padding, dilation)
+        gw = np.matmul(g.reshape(shape[0], cout, -1), col.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        assert wt.grad.tobytes() == (np.zeros_like(w) + gw).tobytes()
+        if stride == 1:
+            wf = np.ascontiguousarray(w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
+            gx = conv3d_im2col(g, wf, None, 1, dilation * (k - 1) - padding, dilation)
+            assert xt.grad.tobytes() == (np.zeros_like(x) + gx).tobytes()
+
+    @pytest.mark.parametrize("stride,padding,dilation", [(1, 1, 1), (2, 1, 1), (1, 2, 2)])
+    def test_any_shape_matches_untiled(self, stride, padding, dilation, monkeypatch):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((2, 3, 9, 5, 7)).astype(np.float32)
+        w = rng.standard_normal((4, 3, 3, 3, 3)).astype(np.float32)
+
+        def run():
+            xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            out = conv3d(xt, wt, stride=stride, padding=padding, dilation=dilation)
+            backward(out.sum())
+            return out.data, xt.grad, wt.grad
+
+        whole = run()  # one slab: the default budget exceeds these patch matrices
+        monkeypatch.setattr(autodiff, "_SLAB_BYTES", 1)  # one output row per slab
+        for got, want in zip(run(), whole):
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
 
 class TestConvTranspose3d:

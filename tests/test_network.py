@@ -1,10 +1,12 @@
 """Network block tests: forward contracts, gradients, accounting, manifest."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from voxseg.autodiff import DropoutMode, Tensor, grad_check
-from voxseg.checkpoint import load_checkpoint, read_manifest, save_checkpoint
+from voxseg.checkpoint import CheckpointError, load_checkpoint, read_manifest, save_checkpoint
 from voxseg.losses import combined_loss
 from voxseg.network import (
     AdaptiveAttention,
@@ -400,6 +402,25 @@ class TestCheckpoint:
         shapes = {name: shape for name, shape in manifest}
         for name, p in net.named_parameters():
             assert shapes[name] == p.data.shape
+
+    def test_every_truncated_prefix_raises(self, tmp_path):
+        state = {"enc.w": np.arange(6, dtype=np.float32).reshape(1, 2, 3), "bé": np.ones(4, dtype=np.float32)}
+        save_checkpoint(tmp_path / "full.sgcp", state)
+        raw = (tmp_path / "full.sgcp").read_bytes()
+        cut = tmp_path / "cut.sgcp"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(cut)
+
+    def test_non_utf8_name_raises(self, tmp_path):
+        path = tmp_path / "bad.sgcp"
+        name = b"\xff\xfe"
+        path.write_bytes(struct.pack("<4sIII", b"SGCP", 1, 1, len(name)) + name + struct.pack("<IIf", 1, 1, 0.0))
+        with pytest.raises(CheckpointError, match="utf-8"):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointError, match="utf-8"):
+            read_manifest(path)
 
     def test_state_mismatch_rejected(self, tmp_path):
         net = TumorSegNet(small_cfg(), seed=7)
