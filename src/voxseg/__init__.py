@@ -16,9 +16,8 @@ from .metrics import (
     dice_score,
     extract_boundary,
     hausdorff,
-    hausdorff_grid,
 )
-from .network import NetworkConfig, TumorSegNet, count_flops, count_params
+from .network import NetworkConfig, TumorSegNet, count_params
 from .phantom import PhantomSpec, gen_phantom, split_dataset
 from .prior import PriorConfig, TumorStdStats, build_input, generate_prior, tumor_std_stats
 from .training import (

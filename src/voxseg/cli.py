@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -305,12 +306,20 @@ def _cmd_infer(args) -> int:
     return 0
 
 
+def _parse_spacing(text: str) -> tuple[float, float, float]:
+    try:
+        spacing = tuple(float(p) for p in text.split(","))
+    except ValueError:
+        spacing = ()
+    if len(spacing) != 3 or not all(math.isfinite(v) and v > 0 for v in spacing):
+        raise UsageError(f"expected 3 finite spacing values > 0, got {text!r}")
+    return spacing
+
+
 def _cmd_eval(args) -> int:
+    spacing = _parse_spacing(args.spacing)
     _, pred = read_volume(Path(args.pred))
     _, labels = read_volume(Path(args.labels))
-    spacing = tuple(float(s) for s in args.spacing.split(","))
-    if len(spacing) != 3:
-        raise UsageError(f"expected 3 spacing values, got {args.spacing!r}")
     if pred.shape[0] == 3:
         masks = RegionMasks(et=pred[0] > 0, wt=pred[1] > 0, tc=pred[2] > 0)
     elif pred.shape[0] == 1:

@@ -52,7 +52,6 @@ __all__ = [
     "SkipRecalibration",
     "TumorSegNet",
     "count_params",
-    "count_flops",
 ]
 
 
@@ -444,7 +443,3 @@ class TumorSegNet(Module):
 
 def count_params(net: Module) -> int:
     return sum(p.data.size for _, p in net.named_parameters())
-
-
-def count_flops(net: TumorSegNet, spatial: tuple[int, int, int]) -> int:
-    return net.count_flops(spatial)

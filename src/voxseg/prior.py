@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import logging
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +58,12 @@ def _offsets(connectivity: int):
     if connectivity == 26:
         return _OFFSETS_26
     raise ValueError(f"connectivity {connectivity} not in (6, 26)")
+
+
+def _flat_steps(shape, offsets) -> list[int]:
+    """Flat-index distance of each neighbour offset in a C-ordered grid."""
+    _, H, W = shape
+    return [(d * H + h) * W + w for d, h, w in offsets]
 
 
 @dataclass(frozen=True)
@@ -138,34 +143,53 @@ def largest_component(mask: np.ndarray, connectivity: int = 26) -> np.ndarray:
 
     Ties go to the component whose first voxel comes earliest in scan
     order. An empty mask passes through unchanged.
+
+    Components are labeled over the candidate voxels alone: hooking
+    along the neighbour edges alternates with pointer jumping
+    (Shiloach & Vishkin 1982) until every edge joins one root. Roots
+    only ever point to lower indices, so each component's root is its
+    earliest voxel in scan order.
     """
     mask = np.asarray(mask, dtype=bool)
     offsets = _offsets(connectivity)
-    visited = np.zeros(mask.shape, dtype=bool)
-    best_mask = np.zeros(mask.shape, dtype=bool)
-    best_size = 0
-    D, H, W = mask.shape
-    for start in np.argwhere(mask):
-        start = tuple(start)
-        if visited[start]:
-            continue
-        component = []
-        queue = deque([start])
-        visited[start] = True
-        while queue:
-            d, h, w = queue.popleft()
-            component.append((d, h, w))
-            for dd, dh, dw in offsets:
-                nd, nh, nw = d + dd, h + dh, w + dw
-                if 0 <= nd < D and 0 <= nh < H and 0 <= nw < W and mask[nd, nh, nw] and not visited[nd, nh, nw]:
-                    visited[nd, nh, nw] = True
-                    queue.append((nd, nh, nw))
-        if len(component) > best_size:
-            best_size = len(component)
-            best_mask = np.zeros(mask.shape, dtype=bool)
-            coords = np.array(component)
-            best_mask[coords[:, 0], coords[:, 1], coords[:, 2]] = True
-    return best_mask
+    voxels = np.flatnonzero(mask)
+    if voxels.size == 0:
+        return np.zeros(mask.shape, dtype=bool)
+    # on the padded grid a step off the volume lands on a False voxel, so
+    # neighbours need no bounds test; padding keeps the scan order
+    padded = np.pad(mask, 1)
+    ids = np.flatnonzero(padded)
+    steps = [s for s in _flat_steps(padded.shape, offsets) if s > 0]
+    a_parts, b_parts = [], []
+    for step in steps:
+        target = ids + step
+        pos = np.searchsorted(ids, target)
+        pos[pos == ids.size] = 0
+        found = np.flatnonzero(ids[pos] == target)
+        a_parts.append(found.astype(np.int32))
+        b_parts.append(pos[found].astype(np.int32))
+    a = np.concatenate(a_parts)
+    b = np.concatenate(b_parts)
+    parent = np.arange(ids.size, dtype=np.int32)
+    while True:
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        if not split.any():
+            break
+        a, b = a[split], b[split]
+        ra, rb = ra[split], rb[split]
+        hi = np.maximum(ra, rb)
+        np.minimum.at(parent, hi, np.minimum(ra, rb, out=ra))
+    # argmax takes the lowest root among equal sizes: the earliest component
+    best = np.argmax(np.bincount(parent, minlength=ids.size))
+    out = np.zeros(mask.shape, dtype=bool)
+    out.flat[voxels[parent == best]] = True
+    return out
 
 
 def select_seeds(component: np.ndarray, n: int, rng_seed: int) -> list[tuple[int, int, int]]:
@@ -188,10 +212,12 @@ def region_grow(
     delta: float,
     connectivity: int = 6,
 ) -> np.ndarray:
-    """Breadth-first growth from all seeds against a fixed reference mean.
+    """Frontier growth from all seeds against a fixed reference mean.
 
     A voxel joins when |intensity - mean(seed intensities)| <= delta and
     it touches the region; seeds are members regardless of the predicate.
+    Each round adds every accepted neighbour of the last round's new
+    voxels, so the region does not depend on the order of the seeds.
     """
     flair = np.asarray(flair, dtype=np.float64)
     seeds = [tuple(int(v) for v in s) for s in seeds]
@@ -202,22 +228,22 @@ def region_grow(
         if not (0 <= s[0] < D and 0 <= s[1] < H and 0 <= s[2] < W):
             raise ValueError(f"seed {s} outside grid {flair.shape}")
     mu = float(np.mean([flair[s] for s in seeds]))
-    accept = np.abs(flair - mu) <= delta
-    offsets = _offsets(connectivity)
-    region = np.zeros(flair.shape, dtype=bool)
-    queue = deque()
-    for s in seeds:
-        if not region[s]:
-            region[s] = True
-            queue.append(s)
-    while queue:
-        d, h, w = queue.popleft()
-        for dd, dh, dw in offsets:
-            nd, nh, nw = d + dd, h + dh, w + dw
-            if 0 <= nd < D and 0 <= nh < H and 0 <= nw < W and not region[nd, nh, nw] and accept[nd, nh, nw]:
-                region[nd, nh, nw] = True
-                queue.append((nd, nh, nw))
-    return region
+    dev = flair - mu
+    np.abs(dev, out=dev)  # in place: one float64 temporary volume, not two
+    # a False border stops growth at the volume's faces without bounds tests
+    accept = np.pad(dev <= delta, 1).ravel()
+    del dev
+    region = np.zeros((D + 2, H + 2, W + 2), dtype=bool)
+    steps = _flat_steps(region.shape, _offsets(connectivity))
+    frontier = np.unique(np.ravel_multi_index(np.array(seeds).T + 1, region.shape))
+    flat = region.ravel()
+    flat[frontier] = True
+    while frontier.size:
+        reached = np.concatenate([frontier + s for s in steps])
+        reached = reached[accept[reached] & ~flat[reached]]
+        frontier = np.unique(reached)
+        flat[frontier] = True
+    return region[1:-1, 1:-1, 1:-1].copy()
 
 
 def tumor_std_stats(cases) -> TumorStdStats:

@@ -62,7 +62,6 @@ class TrainConfig:
     cosine_restarts: bool = False
     max_epochs: int = 1000
     patience: int = 150
-    batch_size: int = 1
     seed: int = 0
     n_mc_passes: int = 20
     use_prior: bool = True
@@ -71,8 +70,6 @@ class TrainConfig:
     use_mc: bool = True
 
     def __post_init__(self):
-        if self.batch_size != 1:
-            raise ValueError("batch_size is fixed at 1")
         if self.patience > self.max_epochs:
             raise ValueError(f"patience {self.patience} exceeds max_epochs {self.max_epochs}")
         if self.n_mc_passes < 1:

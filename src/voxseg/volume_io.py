@@ -15,9 +15,9 @@ Slice figures are written as binary PGM (P5, maxval 255).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -109,7 +109,7 @@ class MultiModalVolume:
         return self.modalities[0]
 
 
-def write_volume(path, grids: np.ndarray, version: int = SG3D_VERSION) -> VolumeHeader:
+def write_volume(path, grids: np.ndarray) -> VolumeHeader:
     """Write a (C, D, H, W) array as SG3D; dtype must be float32 or uint8."""
     grids = np.asarray(grids)
     if grids.ndim == 3:
@@ -119,7 +119,7 @@ def write_volume(path, grids: np.ndarray, version: int = SG3D_VERSION) -> Volume
     code = _CODE_BY_KIND.get(grids.dtype.kind)
     if code is None or grids.dtype.itemsize != _DTYPE_BY_CODE[code].itemsize:
         raise VolumeFormatError(f"unsupported dtype {grids.dtype}; use float32 or uint8")
-    header = VolumeHeader(version, grids.shape[0], tuple(grids.shape[1:]), code)
+    header = VolumeHeader(SG3D_VERSION, grids.shape[0], tuple(grids.shape[1:]), code)
     payload = np.ascontiguousarray(grids, dtype=header.numpy_dtype)
     with open(path, "wb") as f:
         f.write(_HEADER.pack(SG3D_MAGIC, header.version, header.channels, *header.dims, header.dtype_code))
@@ -128,21 +128,28 @@ def write_volume(path, grids: np.ndarray, version: int = SG3D_VERSION) -> Volume
 
 
 def read_volume(path) -> tuple[VolumeHeader, np.ndarray]:
-    """Read an SG3D file; round-trips write_volume bit-exactly."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise VolumeFormatError(f"file too short for header: {len(raw)} bytes")
-    magic, version, channels, d, h, w, code = _HEADER.unpack_from(raw)
-    if magic != SG3D_MAGIC:
-        raise VolumeFormatError(f"bad magic {magic!r}")
-    header = VolumeHeader(version, channels, (d, h, w), code)
-    payload = raw[_HEADER.size :]
-    if len(payload) != header.payload_bytes:
-        raise VolumeFormatError(
-            f"payload is {len(payload)} bytes, header promises {header.payload_bytes}"
-        )
-    grids = np.frombuffer(payload, dtype=header.numpy_dtype).reshape(channels, d, h, w)
-    return header, grids.copy()
+    """Read an SG3D file; round-trips write_volume bit-exactly.
+
+    The payload is read straight into the returned array, so a volume is
+    held in memory once, not twice.
+    """
+    with open(path, "rb") as f:
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise VolumeFormatError(f"file too short for header: {len(head)} bytes")
+        magic, version, channels, d, h, w, code = _HEADER.unpack(head)
+        if magic != SG3D_MAGIC:
+            raise VolumeFormatError(f"bad magic {magic!r}")
+        if version != SG3D_VERSION:
+            raise VolumeFormatError(f"unsupported version {version}")
+        header = VolumeHeader(version, channels, (d, h, w), code)
+        size = os.fstat(f.fileno()).st_size - _HEADER.size
+        if size != header.payload_bytes:
+            raise VolumeFormatError(f"payload is {size} bytes, header promises {header.payload_bytes}")
+        grids = np.fromfile(f, dtype=header.numpy_dtype, count=channels * d * h * w)
+    if grids.nbytes != header.payload_bytes:
+        raise VolumeFormatError(f"payload is {grids.nbytes} bytes, header promises {header.payload_bytes}")
+    return header, grids.reshape(channels, d, h, w)
 
 
 def _crop_slices(src: tuple[int, int, int], target: tuple[int, int, int]) -> tuple[slice, ...]:

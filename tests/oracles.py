@@ -7,7 +7,11 @@ the package's vectorized code paths.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
+
+from voxseg.metrics import extract_boundary
 
 
 def conv3d_loops(x, w, bias=None, stride=1, padding=0, dilation=1):
@@ -224,6 +228,81 @@ def otsu_scan(values, bins):
             best_score = score
             best_t = float(edges[t])
     return best_t
+
+
+def largest_component_bfs(mask, connectivity=26):
+    """Breadth-first labeling that keeps the largest component; ties go to
+    the component whose first voxel comes earliest in scan order."""
+    mask = np.asarray(mask, dtype=bool)
+    offsets = neighbor_offsets(connectivity)
+    visited = np.zeros(mask.shape, dtype=bool)
+    best_mask = np.zeros(mask.shape, dtype=bool)
+    best_size = 0
+    D, H, W = mask.shape
+    for start in np.argwhere(mask):
+        start = tuple(start)
+        if visited[start]:
+            continue
+        component = []
+        queue = deque([start])
+        visited[start] = True
+        while queue:
+            d, h, w = queue.popleft()
+            component.append((d, h, w))
+            for dd, dh, dw in offsets:
+                nd, nh, nw = d + dd, h + dh, w + dw
+                if 0 <= nd < D and 0 <= nh < H and 0 <= nw < W and mask[nd, nh, nw] and not visited[nd, nh, nw]:
+                    visited[nd, nh, nw] = True
+                    queue.append((nd, nh, nw))
+        if len(component) > best_size:
+            best_size = len(component)
+            best_mask = np.zeros(mask.shape, dtype=bool)
+            coords = np.array(component)
+            best_mask[coords[:, 0], coords[:, 1], coords[:, 2]] = True
+    return best_mask
+
+
+def region_grow_bfs(flair, seeds, delta, connectivity=6):
+    """Queue-driven region growing from all seeds against the seed mean."""
+    flair = np.asarray(flair, dtype=np.float64)
+    seeds = [tuple(int(v) for v in s) for s in seeds]
+    mu = float(np.mean([flair[s] for s in seeds]))
+    accept = np.abs(flair - mu) <= delta
+    D, H, W = flair.shape
+    region = np.zeros(flair.shape, dtype=bool)
+    queue = deque()
+    for s in seeds:
+        if not region[s]:
+            region[s] = True
+            queue.append(s)
+    offsets = neighbor_offsets(connectivity)
+    while queue:
+        d, h, w = queue.popleft()
+        for dd, dh, dw in offsets:
+            nd, nh, nw = d + dd, h + dh, w + dw
+            if 0 <= nd < D and 0 <= nh < H and 0 <= nw < W and not region[nd, nh, nw] and accept[nd, nh, nw]:
+                region[nd, nh, nw] = True
+                queue.append((nd, nh, nw))
+    return region
+
+
+def hausdorff_brute(pred, gt, spacing=(1.0, 1.0, 1.0), block=512):
+    """Hausdorff distance from every pairwise squared distance between the
+    two masks' boundaries (as `extract_boundary` finds them), in blocks
+    of `block` points."""
+    sp = np.asarray(spacing, dtype=np.float64)
+    p = extract_boundary(pred).astype(np.float64) * sp
+    g = extract_boundary(gt).astype(np.float64) * sp
+
+    def directed_sq(a, b):
+        worst = 0.0
+        for start in range(0, len(a), block):
+            chunk = a[start : start + block]
+            d2 = ((chunk[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+            worst = max(worst, float(d2.min(axis=1).max()))
+        return worst
+
+    return float(np.sqrt(max(directed_sq(p, g), directed_sq(g, p))))
 
 
 def hausdorff_pointloop(p_coords, g_coords, spacing=(1.0, 1.0, 1.0)):

@@ -166,6 +166,16 @@ class TestEvalCommand:
         assert report.dice_wt == 1.0
 
 
+    @pytest.mark.parametrize("spacing", ["1,x,1", "1,0,1", "1,-2,1", "1,nan,1", "1,1", "1,1,1,1"])
+    def test_bad_spacing_is_usage_error(self, dataset, tmp_path, capsys, spacing):
+        labels = str(dataset / "case_000_lbl.sg3d")
+        rc = main(["eval", "--pred", labels, "--labels", labels, "--out", str(tmp_path / "r.txt"),
+                   "--spacing", spacing])
+        assert rc == 1
+        assert "spacing" in capsys.readouterr().err
+        assert not (tmp_path / "r.txt").exists()
+
+
 class TestStatsCommand:
     def test_stats_file(self, dataset, tmp_path):
         out = tmp_path / "stats.txt"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from voxseg import metrics
 from voxseg.metrics import (
     MetricReport,
     UndefinedMetricError,
@@ -12,10 +13,9 @@ from voxseg.metrics import (
     dice_score,
     extract_boundary,
     hausdorff,
-    hausdorff_grid,
 )
 
-from oracles import dice_pair, hausdorff_pointloop, random_blob_mask
+from oracles import dice_pair, hausdorff_brute, hausdorff_pointloop, random_blob_mask
 
 
 class TestComposeRegions:
@@ -155,21 +155,69 @@ class TestHausdorff:
             want = hausdorff_pointloop(extract_boundary(a), extract_boundary(b))
             assert math.isclose(hausdorff(a, b), want, rel_tol=1e-12)
 
-    def test_grid_accelerator_agrees_exactly(self):
+    def test_single_voxels_at_opposite_corners(self):
+        a = np.zeros((7, 5, 6), dtype=bool)
+        b = np.zeros((7, 5, 6), dtype=bool)
+        a[0, 0, 0] = True
+        b[-1, -1, -1] = True
+        for sp in [(1.0, 1.0, 1.0), (1.0, 0.7, 2.5)]:
+            assert hausdorff(a, b, sp) == hausdorff_brute(a, b, sp)
+        assert hausdorff(a, b) == math.sqrt(36 + 16 + 25)
+
+    def test_identical_masks_zero_with_spacing(self):
+        rng = np.random.default_rng(8)
+        m = random_blob_mask(rng, (11, 9, 10))
+        assert hausdorff(m, m, (1.0, 0.7, 2.5)) == 0.0
+
+    def test_anisotropic_spacing_matches_brute_force(self):
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            shape = tuple(rng.integers(6, 15, size=3))
+            a = random_blob_mask(rng, shape)
+            b = random_blob_mask(rng, shape)
+            assert hausdorff(a, b, (1.0, 0.7, 2.5)) == hausdorff_brute(a, b, (1.0, 0.7, 2.5))
+
+    def test_masks_on_the_border(self):
+        rng = np.random.default_rng(10)
+        for _ in range(5):
+            a = rng.random((8, 6, 7)) < 0.2
+            b = rng.random((8, 6, 7)) < 0.2
+            a[0], b[:, -1], a[:, :, -1], b[-1] = True, True, True, True
+            assert hausdorff(a, b) == hausdorff_brute(a, b)
+            assert hausdorff(a, b, (2.0, 1.0, 0.5)) == hausdorff_brute(a, b, (2.0, 1.0, 0.5))
+
+    def test_transform_in_blocks_of_lines(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_EDT_BLOCK", 40)  # a few lines per block
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            shape = tuple(rng.integers(6, 15, size=3))
+            a = random_blob_mask(rng, shape)
+            b = random_blob_mask(rng, shape)
+            assert hausdorff(a, b, (1.0, 0.7, 2.5)) == hausdorff_brute(a, b, (1.0, 0.7, 2.5))
+
+    @pytest.mark.parametrize("spacing", [(1.0, 0.0, 1.0), (1.0, -1.0, 1.0), (1.0, float("nan"), 1.0),
+                                         (float("inf"), 1.0, 1.0), (1.0, 1.0)])
+    def test_invalid_spacing_rejected(self, spacing):
+        m = np.zeros((3, 3, 3), dtype=bool)
+        m[1, 1, 1] = True
+        with pytest.raises(ValueError, match="spacing"):
+            hausdorff(m, m, spacing)
+
+    def test_agrees_exactly_with_brute_force(self):
         rng = np.random.default_rng(6)
         for _ in range(40):
             shape = tuple(rng.integers(6, 17, size=3))
             a = random_blob_mask(rng, shape)
             b = random_blob_mask(rng, shape)
-            assert hausdorff_grid(a, b) == hausdorff(a, b)
+            assert hausdorff(a, b) == hausdorff_brute(a, b)
 
-    def test_grid_accelerator_with_spacing(self):
+    def test_agrees_exactly_with_brute_force_with_spacing(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             a = random_blob_mask(rng, (10, 10, 10))
             b = random_blob_mask(rng, (10, 10, 10))
             sp = tuple(rng.uniform(0.5, 3.0, size=3))
-            assert hausdorff_grid(a, b, sp) == hausdorff(a, b, sp)
+            assert hausdorff(a, b, sp) == hausdorff_brute(a, b, sp)
 
 
 class TestMetricReport:

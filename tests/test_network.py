@@ -17,7 +17,6 @@ from voxseg.network import (
     NetworkConfig,
     SkipRecalibration,
     TumorSegNet,
-    count_flops,
     count_params,
 )
 
@@ -284,8 +283,8 @@ class TestFullNetwork:
     def test_baseline_flops_positive_and_smaller(self):
         full = TumorSegNet(small_cfg(), seed=0)
         base = TumorSegNet(small_cfg(use_msff=False, use_aam=False), seed=0)
-        f_full = count_flops(full, (16, 16, 8))
-        f_base = count_flops(base, (16, 16, 8))
+        f_full = full.count_flops((16, 16, 8))
+        f_base = base.count_flops((16, 16, 8))
         assert 0 < f_base < f_full
 
     def test_input_gradcheck_at_16x16x8(self):
@@ -355,9 +354,9 @@ class TestAccounting:
         p5 = count_params(TumorSegNet(small_cfg(msff_kernel=5), seed=0))
         p7 = count_params(TumorSegNet(small_cfg(msff_kernel=7), seed=0))
         assert p3 < p5 < p7
-        f3 = count_flops(TumorSegNet(small_cfg(msff_kernel=3, msff_dilation=2), seed=0), (16, 16, 8))
-        f5 = count_flops(TumorSegNet(small_cfg(msff_kernel=5), seed=0), (16, 16, 8))
-        f7 = count_flops(TumorSegNet(small_cfg(msff_kernel=7), seed=0), (16, 16, 8))
+        f3 = TumorSegNet(small_cfg(msff_kernel=3, msff_dilation=2), seed=0).count_flops((16, 16, 8))
+        f5 = TumorSegNet(small_cfg(msff_kernel=5), seed=0).count_flops((16, 16, 8))
+        f7 = TumorSegNet(small_cfg(msff_kernel=7), seed=0).count_flops((16, 16, 8))
         assert f3 < f5 < f7
 
     def test_dilation_does_not_change_counts(self):

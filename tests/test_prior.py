@@ -18,7 +18,13 @@ from voxseg.prior import (
 from voxseg.metrics import compose_regions, dice_score
 from voxseg.volume_io import MultiModalVolume
 
-from oracles import label_components_unionfind, otsu_scan, region_grow_fixpoint
+from oracles import (
+    label_components_unionfind,
+    largest_component_bfs,
+    otsu_scan,
+    region_grow_bfs,
+    region_grow_fixpoint,
+)
 
 
 class TestOtsu:
@@ -108,6 +114,37 @@ class TestLargestComponent:
         assert largest_component(mask, 26).sum() == 3
         assert largest_component(mask, 6).sum() == 1
 
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    def test_equal_sizes_earliest_first_voxel_wins(self, connectivity):
+        mask = np.zeros((6, 6, 6), dtype=bool)
+        mask[4, 0:3, 0] = True  # first voxel (4, 0, 0)
+        mask[1, 5, 3:6] = True  # first voxel (1, 5, 3) comes earlier in scan order
+        mask[3, 2, 5] = True
+        out = largest_component(mask, connectivity)
+        np.testing.assert_array_equal(out, largest_component_bfs(mask, connectivity))
+        assert out[1, 5, 3:6].all() and out.sum() == 3
+
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    def test_noise_matches_bfs_oracle(self, connectivity):
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            shape = tuple(rng.integers(5, 21, size=3))
+            mask = rng.random(shape) < 0.3
+            np.testing.assert_array_equal(largest_component(mask, connectivity),
+                                          largest_component_bfs(mask, connectivity))
+
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    def test_mask_touching_every_face(self, connectivity):
+        rng = np.random.default_rng(12)
+        mask = rng.random((7, 9, 5)) < 0.45
+        for axis in range(3):
+            for end in (0, -1):
+                face = [slice(None)] * 3
+                face[axis] = end
+                mask[tuple(face)] = True
+        np.testing.assert_array_equal(largest_component(mask, connectivity),
+                                      largest_component_bfs(mask, connectivity))
+
 
 class TestSelectSeeds:
     def test_exhausts_small_component(self):
@@ -190,6 +227,42 @@ class TestRegionGrow:
         grid[0, 0, 0] = 999.0  # outlier seed still belongs to the region
         out = region_grow(grid, [(0, 0, 0), (2, 2, 2)], delta=1.0, connectivity=6)
         assert out[0, 0, 0] and out[2, 2, 2]
+
+    def test_seed_failing_the_predicate(self):
+        grid = np.zeros((6, 6, 6))
+        grid[2:5, 2:5, 2:5] = 50.0
+        grid[0, 0, 0] = 500.0  # pulls the seed mean far from its own value
+        seeds = [(0, 0, 0), (3, 3, 3)]
+        out = region_grow(grid, seeds, 30.0, 6)
+        np.testing.assert_array_equal(out, region_grow_bfs(grid, seeds, 30.0, 6))
+        assert out[0, 0, 0] and not out[0, 0, 1]
+
+    def test_duplicate_seeds(self):
+        rng = np.random.default_rng(7)
+        grid = rng.uniform(0, 100, (8, 8, 8))
+        seeds = [(4, 4, 4), (4, 4, 4), (1, 2, 3), (4, 4, 4)]
+        out = region_grow(grid, seeds, 25.0, 6)
+        np.testing.assert_array_equal(out, region_grow_bfs(grid, seeds, 25.0, 6))
+
+    def test_seeds_in_disjoint_components(self):
+        grid = np.zeros((9, 9, 9))
+        grid[1:4, 1:4, 1:4] = 60.0
+        grid[5:8, 5:8, 5:8] = 60.0
+        seeds = [(2, 2, 2), (6, 6, 6)]
+        out = region_grow(grid, seeds, 10.0, 6)
+        np.testing.assert_array_equal(out, region_grow_bfs(grid, seeds, 10.0, 6))
+        np.testing.assert_array_equal(out, grid == 60.0)
+
+    def test_26_connectivity_matches_bfs_oracle(self):
+        rng = np.random.default_rng(8)
+        for _ in range(8):
+            shape = tuple(rng.integers(5, 15, size=3))
+            grid = rng.uniform(0, 100, shape)
+            seeds = [tuple(int(rng.integers(0, n)) for n in shape) for _ in range(2)]
+            delta = float(rng.uniform(10, 40))
+            out = region_grow(grid, seeds, delta, 26)
+            np.testing.assert_array_equal(out, region_grow_bfs(grid, seeds, delta, 26))
+            np.testing.assert_array_equal(out, region_grow_fixpoint(grid, seeds, delta, 26))
 
 
 class TestTumorStdStats:

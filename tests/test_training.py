@@ -144,10 +144,6 @@ class TestEarlyStopping:
 
 
 class TestTrainConfig:
-    def test_batch_size_fixed(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            TrainConfig(batch_size=2)
-
     def test_patience_bounded(self):
         with pytest.raises(ValueError, match="patience"):
             TrainConfig(patience=2000, max_epochs=1000)

@@ -5,6 +5,7 @@ import pytest
 
 from voxseg.volume_io import (
     DTYPE_FLOAT32,
+    SG3D_VERSION,
     MultiModalVolume,
     VolumeFormatError,
     center_crop,
@@ -66,6 +67,25 @@ class TestRoundTrip:
         path.write_bytes(bytes(data))
         with pytest.raises(VolumeFormatError, match="dtype"):
             read_volume(path)
+
+    def test_unknown_version_rejected(self, tmp_path):
+        path = tmp_path / "v2.sg3d"
+        write_volume(path, np.ones((1, 1, 1, 1), dtype=np.float32))
+        data = bytearray(path.read_bytes())
+        data[4:8] = (SG3D_VERSION + 1).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(VolumeFormatError, match="version"):
+            read_volume(path)
+
+    def test_every_truncated_prefix_raises(self, tmp_path):
+        path = tmp_path / "full.sg3d"
+        write_volume(path, np.arange(2 * 2 * 3 * 2, dtype=np.float32).reshape(2, 2, 3, 2))
+        data = path.read_bytes()
+        cut = tmp_path / "cut.sg3d"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(VolumeFormatError):
+                read_volume(cut)
 
     def test_zero_voxel_request_rejected(self, tmp_path):
         with pytest.raises(VolumeFormatError):
