@@ -14,9 +14,11 @@ the rules in reverse topological order.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from contextlib import contextmanager
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -390,6 +392,25 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+# Uniform draws per chunk of a dropout mask: the float64 draw buffer stays
+# at 4 MiB however large the tensor, and every 32x32x16 training tensor
+# still draws in one chunk.
+_DROPOUT_CHUNK = 1 << 19
+
+
+def _keep_mask(gen: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
+    """`gen.random(shape) >= rate`, drawn `_DROPOUT_CHUNK` uniforms at a
+    time into one buffer; the mask and the generator's final state are
+    those of the single draw."""
+    keep = np.empty(shape, dtype=bool)
+    flat = keep.reshape(-1)
+    buf = np.empty(min(flat.size, _DROPOUT_CHUNK))
+    for start in range(0, flat.size, _DROPOUT_CHUNK):
+        draw = gen.random(out=buf[:min(_DROPOUT_CHUNK, flat.size - start)])
+        np.greater_equal(draw, rate, out=flat[start:start + draw.size])
+    return keep
+
+
 def dropout(x: Tensor, rate: float, mode: DropoutMode, rng) -> Tensor:
     """Inverted dropout: survivors are scaled by 1/(1-rate) at sample time.
 
@@ -404,8 +425,8 @@ def dropout(x: Tensor, rate: float, mode: DropoutMode, rng) -> Tensor:
     if rng is None:
         raise ValueError("sampling dropout needs a seed or Generator")
     gen = np.random.default_rng(rng) if isinstance(rng, (int, np.integer)) else rng
-    keep = gen.random(x.shape) >= rate
-    mask = keep.astype(x.dtype) / np.asarray(1.0 - rate, dtype=x.dtype)
+    mask = _keep_mask(gen, x.shape, rate).astype(x.dtype)
+    mask /= np.asarray(1.0 - rate, dtype=x.dtype)
     data = x.data * mask
     return _make(data, (x,), lambda g: [(x, g * mask)], "dropout")
 
@@ -896,3 +917,52 @@ def derive_seed(root: int, *path: int) -> int:
 def derive_rng(root: int, *path: int) -> np.random.Generator:
     """Generator seeded from (root, *path); same arguments, same stream."""
     return np.random.default_rng(derive_seed(root, *path))
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread control
+# ---------------------------------------------------------------------------
+
+
+class _OpenBlas(NamedTuple):
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+    corename: str  # the kernel family OpenBLAS picked for this CPU, or "unknown"
+
+
+# (prefix, suffix) of the thread-control names, in the order tried: numpy's
+# bundled build, other 64-bit-integer builds, the plain build
+_OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""))
+
+
+@functools.cache
+def _openblas() -> _OpenBlas | None:
+    """Thread-count calls and core name of the OpenBLAS mapped into this
+    process, through ctypes; None when no OpenBLAS with thread control is
+    loaded."""
+    try:
+        with open("/proc/self/maps") as maps:
+            # a mapping of the library ends in its path
+            paths = [line.split(None, 5)[-1].strip() for line in maps if "openblas" in line.lower()]
+    except OSError:
+        return None
+    for path in dict.fromkeys(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_NAMES:
+            try:
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+                put = getattr(lib, f"{prefix}set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            name = None
+            core = getattr(lib, f"{prefix}get_corename{suffix}", None)
+            if core is not None:
+                core.argtypes, core.restype = [], ctypes.c_char_p
+                name = core()
+            return _OpenBlas(get, put, name.decode() if name else "unknown")
+    return None

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
+from .autodiff import _openblas
 from .metrics import RegionMasks, compose_regions
 from .network import NetworkConfig, TumorSegNet, count_params
 from .phantom import PhantomSpec, gen_phantom, split_dataset
@@ -65,7 +66,8 @@ def _add_global_flags(parser, suppress: bool) -> None:
     parser.add_argument("--threads", type=int, help="worker cap for per-case parallelism",
                         **({"default": argparse.SUPPRESS} if suppress else {"default": 1}))
     parser.add_argument("--deterministic", action="store_true",
-                        help="force single-threaded, fixed-order reductions", **kwargs)
+                        help="force single-threaded, fixed-order reductions (infer output "
+                             "is the same with or without it)", **kwargs)
 
 
 def _build_parser() -> _Parser:
@@ -138,6 +140,11 @@ def _build_parser() -> _Parser:
 def _write_manifest(out: Path, args: argparse.Namespace) -> None:
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
     lines = [f"command={args.command}"] + [f"{k}={v}" for k, v in resolved.items()]
+    if args.command in ("train", "infer"):
+        # the network's output bits depend on the BLAS kernel that ran it
+        blas = _openblas()
+        lines.append(f"blas_core={blas.corename if blas else 'unknown'}")
+        lines.append(f"blas_threads={blas.get_threads() if blas else 'unknown'}")
     if out.suffix:
         path = out.with_suffix(out.suffix + ".manifest.txt")
         out.parent.mkdir(parents=True, exist_ok=True)

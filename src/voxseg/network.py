@@ -303,19 +303,22 @@ class AdaptiveAttention(Module):
             raise ValueError(
                 f"spatial attention over {n} voxels exceeds the configured cap of {self.voxel_cap}"
             )
+        # k and q are dropped once their logits exist, and v once mixed, so
+        # that without a tape at most two projections are alive at a time
         k = reshape(self.drop_k.forward(self.proj_k.forward(x), mode, rng), (b, c, n))
         q = reshape(self.drop_q.forward(self.proj_q.forward(x), mode, rng), (b, c, n))
+        channel = self.mode == "channel"
+        scale = 1.0 / float(np.sqrt(n if channel else c))
+        spec = "bin,bjn->bij" if channel else "bcm,bcn->bmn"
+        logits = mul(contract(k, q, spec), Tensor(np.asarray(scale, dtype=x.dtype)))
+        del k, q
         v = reshape(self.drop_v.forward(self.proj_v.forward(x), mode, rng), (b, c, n))
-        if self.mode == "channel":
-            scale = 1.0 / float(np.sqrt(n))
-            logits = mul(contract(k, q, "bin,bjn->bij"), Tensor(np.asarray(scale, dtype=x.dtype)))
-            attn = softmax(logits, axis=2)
+        attn = softmax(logits, axis=2)
+        if channel:
             mixed = contract(attn, v, "bij,bjn->bin")
         else:
-            scale = 1.0 / float(np.sqrt(c))
-            logits = mul(contract(k, q, "bcm,bcn->bmn"), Tensor(np.asarray(scale, dtype=x.dtype)))
-            attn = softmax(logits, axis=2)
             mixed = contract(v, attn, "bcn,bmn->bcm")
+        del v
         mixed = reshape(mixed, x.shape)
         gate = reshape(self.gate, (1, c, 1, 1, 1))
         return add(mul(mul(gate, x), mixed), x)
@@ -357,6 +360,7 @@ class _DecoderStage(Module):
         if self.attn is not None and self.before_merge:
             up = self.attn.forward(up, mode, rng)
         merged = concat([self.skip.forward(enc_feat), up], axis=1)
+        del up, enc_feat  # without a tape, `merged` is the only copy left
         if self.attn is not None and not self.before_merge:
             merged = self.attn.forward(merged, mode, rng)
         return self.block.forward(merged, mode, rng)
@@ -395,7 +399,8 @@ class TumorSegNet(Module):
             if i < 3:
                 x = maxpool3d(x)
         for stage, skip_idx in zip(self.decoders, (2, 1, 0)):
-            x = stage.forward(x, feats[skip_idx], mode, rng)
+            # popped, so the decoder can free the skip feature once merged
+            x = stage.forward(x, feats.pop(skip_idx), mode, rng)
         return sigmoid(self.head.forward(x))
 
     def layer_manifest(self) -> list[tuple[str, str]]:

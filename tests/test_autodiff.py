@@ -357,6 +357,20 @@ class TestDropout:
         backward(out.sum())
         np.testing.assert_array_equal(x.grad, out.data)
 
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 7), (1, 48), (5,)])
+    def test_chunked_draw_equals_one_draw(self, monkeypatch, shape):
+        # 210 elements end in a partial chunk, 48 fill three, 5 fit one
+        monkeypatch.setattr(autodiff, "_DROPOUT_CHUNK", 16)
+        rate = 0.3
+        x = randt(np.random.default_rng(4), shape, requires_grad=True)
+        gen, ref = derive_rng(5, 1), derive_rng(5, 1)
+        out = dropout(x, rate, DropoutMode.TRAIN, gen)
+        mask = (ref.random(shape) >= rate).astype(x.dtype) / np.asarray(1.0 - rate, dtype=x.dtype)
+        np.testing.assert_array_equal(out.data, x.data * mask)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        backward(out.sum())
+        np.testing.assert_array_equal(x.grad, mask)
+
     def test_invalid_rate(self):
         x = Tensor(np.ones(4))
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from voxseg import autodiff
 from voxseg.cli import main
 from voxseg.checkpoint import load_checkpoint
 from voxseg.metrics import MetricReport
@@ -74,6 +75,9 @@ class TestTrainCommand:
         state = load_checkpoint(trained / "checkpoint.sgcp")
         assert len(state) > 0
         assert (trained / "config.json").exists()
+        manifest = (trained / "run_manifest.txt").read_text().splitlines()
+        assert any(line.startswith("blas_core=") for line in manifest)
+        assert any(line.startswith("blas_threads=") for line in manifest)
 
     def test_ablation_flags_change_structure(self, dataset, tmp_path):
         out = tmp_path / "ablate"
@@ -105,18 +109,36 @@ class TestInferCommand:
         for region in ("et", "wt", "tc"):
             assert (out / f"mean_{region}.pgm").exists()
             assert (out / f"uncertainty_{region}.pgm").exists()
+        manifest = (out / "run_manifest.txt").read_text().splitlines()
+        blas = autodiff._openblas()
+        assert f"blas_core={blas.corename if blas else 'unknown'}" in manifest
+        assert f"blas_threads={blas.get_threads() if blas else 'unknown'}" in manifest
+
+    def test_manifest_without_openblas(self, trained, dataset, tmp_path, monkeypatch):
+        from voxseg import cli as cli_module
+
+        monkeypatch.setattr(cli_module, "_openblas", lambda: None)
+        out = tmp_path / "pred"
+        rc = main(["--seed", "5", "infer",
+                   "--checkpoint", str(trained / "checkpoint.sgcp"),
+                   "--img", str(dataset / "case_001_img.sg3d"), "--out", str(out),
+                   "--passes", "1"])
+        assert rc == 0
+        manifest = (out / "run_manifest.txt").read_text().splitlines()
+        assert "blas_core=unknown" in manifest and "blas_threads=unknown" in manifest
 
     def test_deterministic_given_seed(self, trained, dataset, tmp_path):
+        # --deterministic or not, infer writes the same bytes
         outs = []
-        for name in ("a", "b"):
+        for name, flags in (("a", ["--deterministic"]), ("b", ["--deterministic"]), ("c", [])):
             out = tmp_path / name
-            rc = main(["--seed", "5", "--deterministic", "infer",
+            rc = main(["--seed", "5", *flags, "infer",
                        "--checkpoint", str(trained / "checkpoint.sgcp"),
                        "--img", str(dataset / "case_001_img.sg3d"), "--out", str(out),
                        "--passes", "3"])
             assert rc == 0
-            outs.append((out / "mean.sg3d").read_bytes())
-        assert outs[0] == outs[1]
+            outs.append((out / "mean.sg3d").read_bytes() + (out / "variance.sg3d").read_bytes())
+        assert outs[0] == outs[1] == outs[2]
 
     def test_no_prior_checkpoint_round_trip(self, dataset, tmp_path):
         run = tmp_path / "np_run"

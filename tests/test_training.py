@@ -1,11 +1,15 @@
 """Optimizer, scheduler, early-stopping, fit-loop, and MC-inference tests."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from voxseg.autodiff import Tensor, backward
+from voxseg import training
+from voxseg.autodiff import DropoutMode, Tensor, _openblas, backward, derive_rng, derive_seed, no_grad
 from voxseg.network import NetworkConfig, TumorSegNet
 from voxseg.phantom import PhantomSpec, gen_phantom
 from voxseg.training import (
@@ -32,6 +36,56 @@ def tiny_net_config(**overrides):
 @pytest.fixture(scope="module")
 def phantom():
     return gen_phantom(PhantomSpec(dims=(16, 16, 8), rng_seed=2), 0)
+
+
+def set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def record_threads(monkeypatch, net, fail_on=None):
+    """Wrap `net.forward` to log the thread of each pass (and the OpenBLAS
+    thread count it saw); raise in passes on the `fail_on` thread."""
+    seen = []
+    forward = net.forward
+
+    def wrapped(*args, **kwargs):
+        blas = _openblas()
+        seen.append((threading.get_ident(), blas.get_threads() if blas else None))
+        if fail_on is not None and fail_on(threading.get_ident()):
+            raise RuntimeError("pass failed")
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(net, "forward", wrapped)
+    return seen
+
+
+class PassStub:
+    """Stand-in network whose pass `i` (seeded `derive_rng(0, 2, i)`)
+    returns `passes[i]`, whichever thread runs it."""
+
+    def __init__(self, passes):
+        self.passes = {derive_seed(0, 2, i): out for i, out in enumerate(passes)}
+
+    def forward(self, x, mode, rng=None):
+        return Tensor(self.passes[rng.bit_generator.seed_seq.entropy][None])
+
+
+STUB_X = Tensor(np.zeros((1, 1, 1), dtype=np.float32))
+
+
+needs_openblas = pytest.mark.skipif(_openblas() is None,
+                                    reason="passes run in parallel only under OpenBLAS thread control")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS at two threads for the test, so that a count left at 1
+    shows; the previous count is put back afterwards."""
+    blas = _openblas()
+    previous = blas.get_threads()
+    blas.set_threads(2)
+    yield blas
+    blas.set_threads(previous)
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +290,117 @@ class TestMcInfer:
         net, x, _ = mc_setup
         with pytest.raises(ValueError):
             mc_infer(net, x, n_passes=0, seed=0)
+
+    @pytest.mark.parametrize("n_passes,use_mc", [(1, True), (2, True), (3, True), (5, True), (3, False)])
+    def test_byte_identical_for_any_worker_count(self, mc_setup, monkeypatch, n_passes, use_mc):
+        net, x, _ = mc_setup
+        with no_grad():
+            if use_mc:
+                passes = [net.forward(x, DropoutMode.MC_ACTIVE, derive_rng(6, 2, i)).data[0]
+                          for i in range(n_passes)]
+            else:
+                passes = [net.forward(x, DropoutMode.OFF).data[0]]
+        outs = np.stack(passes).astype(np.float64)
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            mc = mc_infer(net, x, n_passes=n_passes, seed=6, use_mc=use_mc)
+            assert mc.mean.tobytes() == outs.mean(axis=0).astype(np.float32).tobytes()
+            assert mc.variance.tobytes() == outs.var(axis=0).astype(np.float32).tobytes()
+            masks = np.stack([mc.masks.et, mc.masks.wt, mc.masks.tc])
+            np.testing.assert_array_equal(masks, mc.mean >= 0.5)
+
+    @needs_openblas
+    def test_passes_split_between_caller_and_helper(self, mc_setup, monkeypatch, two_blas_threads):
+        net, x, _ = mc_setup
+        set_cpus(monkeypatch, 2)
+        seen = record_threads(monkeypatch, net)
+        mc_infer(net, x, n_passes=5, seed=6)
+        caller = threading.get_ident()
+        assert sorted(ident == caller for ident, _ in seen) == [False, False, True, True, True]
+        assert {threads for _, threads in seen} == {1}
+        assert two_blas_threads.get_threads() == 2
+
+    @pytest.mark.parametrize("no_openblas", [False, True])
+    def test_one_worker_starts_no_thread(self, mc_setup, monkeypatch, no_openblas):
+        net, x, _ = mc_setup
+        set_cpus(monkeypatch, 1 if not no_openblas else 2)
+        if no_openblas:
+            monkeypatch.setattr(training, "_openblas", lambda: None)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(training, "ThreadPoolExecutor", no_pool)
+        seen = record_threads(monkeypatch, net)
+        mc_infer(net, x, n_passes=3, seed=6)
+        assert [ident for ident, _ in seen] == [threading.get_ident()] * 3
+
+    @needs_openblas
+    def test_more_workers_than_cores_under_fast_switching(self, mc_setup, monkeypatch):
+        net, x, _ = mc_setup
+        set_cpus(monkeypatch, 1)
+        ref = mc_infer(net, x, n_passes=7, seed=6)
+        monkeypatch.setattr(training, "_MC_WORKERS", 4)
+        set_cpus(monkeypatch, 4)
+        seen = record_threads(monkeypatch, net)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            mc = mc_infer(net, x, n_passes=7, seed=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({ident for ident, _ in seen}) == 4
+        assert mc.mean.tobytes() == ref.mean.tobytes()
+        assert mc.variance.tobytes() == ref.variance.tobytes()
+
+    @needs_openblas
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_pass_error_reaches_caller_and_restores_blas(self, mc_setup, monkeypatch, failing,
+                                                         two_blas_threads):
+        from voxseg import autodiff
+
+        net, x, _ = mc_setup
+        set_cpus(monkeypatch, 2)
+        caller = threading.get_ident()
+        on_caller = failing == "caller"
+        record_threads(monkeypatch, net, fail_on=lambda ident: (ident == caller) == on_caller)
+        with pytest.raises(RuntimeError, match="pass failed"):
+            mc_infer(net, x, n_passes=4, seed=6)
+        assert two_blas_threads.get_threads() == 2
+        assert autodiff._grad_enabled
+
+    def test_masks_binarize_the_returned_mean(self, monkeypatch):
+        # Two passes, 0.5 and the float32 just below it: the float64 mean
+        # 0.5 - 2**-26 lies in [0.5 - 2**-25, 0.5) yet rounds to float32 0.5,
+        # so a mask taken from the float64 mean would disagree with the mean.
+        below = np.float32(0.5) - np.float32(2.0 ** -25)
+        a = np.array([0.5, 0.5, 0.25, 0.75], dtype=np.float32)
+        b = np.array([below, 0.5, 0.25, below], dtype=np.float32)
+        mean64 = (a.astype(np.float64) + b) / 2
+        assert 0.5 - 2.0 ** -25 <= mean64[0] < 0.5
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            mc = mc_infer(PassStub([np.stack([a, b, a]), np.stack([b, a, b])]), STUB_X, n_passes=2)
+            assert mc.mean[:, 0].tolist() == [0.5, 0.5, 0.5]
+            masks = np.stack([mc.masks.et, mc.masks.wt, mc.masks.tc])
+            np.testing.assert_array_equal(masks, mc.mean >= 0.5)
+            assert masks[:, 0].all()
+
+    def test_statistics_sum_in_pass_order(self, monkeypatch):
+        # Voxel 0 sees passes 1, 2**-24, 2**-53, 2**-53: summed in pass order
+        # the small terms are lost (mean 0.25), summed last-first they are
+        # kept (0.25000003). Voxel 1 sees the same values rotated, so pass
+        # order keeps them; most other orders lose them.
+        small = [2.0 ** -24, 2.0 ** -53, 2.0 ** -53]
+        columns = np.array([[1.0] + small, small + [1.0]], dtype=np.float32)
+        passes = [np.stack([columns[:, i]] * 3) for i in range(4)]
+        outs = np.stack(passes).astype(np.float64)
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            mc = mc_infer(PassStub(passes), STUB_X, n_passes=4)
+            assert mc.mean.tobytes() == outs.mean(axis=0).astype(np.float32).tobytes()
+            assert mc.variance.tobytes() == outs.var(axis=0).astype(np.float32).tobytes()
+            assert mc.mean[0].tolist() == [0.25, np.float32(0.25 + 2.0 ** -25)]
 
     def test_mean_is_order_free(self, mc_setup):
         # averaging the same pass outputs in any order agrees to summation noise
