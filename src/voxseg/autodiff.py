@@ -83,10 +83,14 @@ def _pin_selection(compute):
 
 
 class DropoutMode(Enum):
-    """Dropout behaviour: TRAIN and MC_ACTIVE sample masks, OFF is identity."""
+    """Dropout behaviour: TRAIN samples masks, OFF is identity.
+
+    MC_ACTIVE, the name inference uses for Monte-Carlo sampling, is an
+    alias of TRAIN: both draw the same masks.
+    """
 
     TRAIN = "train"
-    MC_ACTIVE = "mc_active"
+    MC_ACTIVE = "train"
     OFF = "off"
 
 
@@ -153,9 +157,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of size {self.data.size}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def astype(self, dtype) -> "Tensor":
         """Leaf copy in the given precision (graph is not carried over)."""
@@ -414,7 +415,7 @@ def _keep_mask(gen: np.random.Generator, shape: tuple[int, ...], rate: float) ->
 def dropout(x: Tensor, rate: float, mode: DropoutMode, rng) -> Tensor:
     """Inverted dropout: survivors are scaled by 1/(1-rate) at sample time.
 
-    TRAIN and MC_ACTIVE both sample; OFF returns the input unchanged.
+    TRAIN (alias MC_ACTIVE) samples; OFF returns the input unchanged.
     `rng` is an integer seed or a numpy Generator; a given seed always
     yields the same mask.
     """
@@ -441,11 +442,7 @@ def dropout(x: Tensor, rate: float, mode: DropoutMode, rng) -> Tensor:
 _SLAB_BYTES = 4 << 20
 
 
-def _conv_out_extent(n: int, k: int, stride: int, padding: int, dilation: int) -> int:
-    return (n + 2 * padding - dilation * (k - 1) - 1) // stride + 1
-
-
-def _im2col(xp: np.ndarray, k: int, stride: int, dilation: int, out_sp: tuple[int, int, int]) -> np.ndarray:
+def _im2col(xp: np.ndarray, k: int, dilation: int, out_sp: tuple[int, int, int]) -> np.ndarray:
     """Materialize sliding k*k*k patches of a padded (B,C,*,*,*) volume.
 
     Returns (B, C*k^3, Do*Ho*Wo): k^3 copies of the input's C channels, one
@@ -456,12 +453,12 @@ def _im2col(xp: np.ndarray, k: int, stride: int, dilation: int, out_sp: tuple[in
     Do, Ho, Wo = out_sp
     span = dilation * (k - 1) + 1
     windows = np.lib.stride_tricks.sliding_window_view(xp, (span,) * 3, axis=(2, 3, 4))
-    view = windows[:, :, ::stride, ::stride, ::stride, ::dilation, ::dilation, ::dilation]
+    view = windows[:, :, :, :, :, ::dilation, ::dilation, ::dilation]
     # the reshape fails unless `xp` holds exactly the out_sp windows
     return np.ascontiguousarray(view.transpose(0, 1, 5, 6, 7, 2, 3, 4)).reshape(B, C * k ** 3, Do * Ho * Wo)
 
 
-def _conv3d_raw(x: np.ndarray, w: np.ndarray, stride: int, padding: int, dilation: int):
+def _conv3d_raw(x: np.ndarray, w: np.ndarray, padding: int, dilation: int):
     """Forward cross-correlation on raw arrays; returns (out, padded_x).
 
     For k > 1 the output is computed in depth slabs: each slab takes its
@@ -482,22 +479,20 @@ def _conv3d_raw(x: np.ndarray, w: np.ndarray, stride: int, padding: int, dilatio
         xp = np.pad(x, ((0, 0), (0, 0)) + ((padding, padding),) * 3)
     else:
         xp = x
-    out_sp = tuple(_conv_out_extent(n, k, stride, padding, dilation) for n in (D, H, W))
+    halo = dilation * (k - 1)
+    out_sp = tuple(n + 2 * padding - halo for n in (D, H, W))
     if min(out_sp) < 1:
         raise ValueError(f"kernel {k} (dilation {dilation}) larger than padded input {(D, H, W)} + 2*{padding}")
     if k == 1:
-        xs = xp[:, :, ::stride, ::stride, ::stride] if stride > 1 else xp
-        out = np.matmul(w.reshape(Cout, Cin), xs.reshape(B, Cin, -1))
+        out = np.matmul(w.reshape(Cout, Cin), xp.reshape(B, Cin, -1))
     else:
         Do, Ho, Wo = out_sp
         wm = w.reshape(Cout, -1)
         out = np.empty((B, Cout, Do, Ho * Wo), dtype=x.dtype)
         rows = max(1, _SLAB_BYTES // (Cin * k ** 3 * Ho * Wo * x.itemsize))
-        halo = dilation * (k - 1)
         for d0 in range(0, Do, rows):
             n = min(rows, Do - d0)
-            xs = xp[:, :, d0 * stride : (d0 + n - 1) * stride + halo + 1]
-            col = _im2col(xs, k, stride, dilation, (n, Ho, Wo))
+            col = _im2col(xp[:, :, d0 : d0 + n + halo], k, dilation, (n, Ho, Wo))
             out[:, :, d0 : d0 + n] = np.matmul(wm, col).reshape(B, Cout, n, Ho * Wo)
     return out.reshape(B, Cout, *out_sp), xp
 
@@ -506,15 +501,15 @@ def conv3d(
     x: Tensor,
     weight: Tensor,
     bias: Tensor | None = None,
-    stride: int = 1,
     padding: int = 0,
     dilation: int = 1,
 ) -> Tensor:
-    """3D cross-correlation with zero padding, stride, and dilation.
+    """3D stride-1 cross-correlation with zero padding and dilation.
 
     `x` is (B, Cin, D, H, W), `weight` is (Cout, Cin, k, k, k) with
     k in {1, 3, 5, 7}. Output extent per axis is
-    floor((n + 2*padding - dilation*(k-1) - 1) / stride) + 1.
+    n + 2*padding - dilation*(k-1); the network downsamples with
+    `maxpool3d`, never with a strided convolution.
     Gradients are recorded for x, weight and bias.
     """
     if x.ndim != 5 or weight.ndim != 5:
@@ -530,50 +525,28 @@ def conv3d(
         raise ValueError(f"bias shape {bias.shape} != ({Cout},)")
     _check_same_dtype(*([x, weight] + ([bias] if bias is not None else [])))
 
-    out_data, xp = _conv3d_raw(x.data, weight.data, stride, padding, dilation)
+    out_data, xp = _conv3d_raw(x.data, weight.data, padding, dilation)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, Cout, 1, 1, 1)
 
     B = x.shape[0]
-    in_sp = x.shape[2:]
     out_sp = out_data.shape[2:]
 
     def rule(g):
         gm = g.reshape(B, Cout, -1)
         # weight gradient: one GEMM against the recomputed patch matrix
-        if k == 1:
-            xs = xp[:, :, ::stride, ::stride, ::stride] if stride > 1 else xp
-            col = xs.reshape(B, Cin, -1)
-        else:
-            col = _im2col(xp, k, stride, dilation, out_sp)
+        col = xp.reshape(B, Cin, -1) if k == 1 else _im2col(xp, k, dilation, out_sp)
         gw = np.matmul(gm, col.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
 
-        # input gradient: for stride 1 it is itself a dilated correlation with
-        # the spatially flipped, channel-swapped kernel; otherwise scatter
-        # per kernel offset
+        # input gradient: a dilated correlation of g with the spatially
+        # flipped, channel-swapped kernel; padding beyond the kernel's reach
+        # makes its padding negative, i.e. crops g by the excess
         back_pad = dilation * (k - 1) - padding
-        if stride == 1 and back_pad >= 0:
-            wf = np.ascontiguousarray(weight.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
-            gx, _ = _conv3d_raw(g, wf, 1, back_pad, dilation)
-        else:
-            gxp = np.zeros_like(xp)
-            wm = weight.data.reshape(Cout, Cin, k ** 3)
-            for i in range(k):
-                for j in range(k):
-                    for l in range(k):
-                        idx = (i * k + j) * k + l
-                        contrib = np.matmul(wm[:, :, idx].T, gm).reshape(B, Cin, *out_sp)
-                        gxp[
-                            :,
-                            :,
-                            i * dilation : i * dilation + stride * (out_sp[0] - 1) + 1 : stride,
-                            j * dilation : j * dilation + stride * (out_sp[1] - 1) + 1 : stride,
-                            l * dilation : l * dilation + stride * (out_sp[2] - 1) + 1 : stride,
-                        ] += contrib
-            gx = gxp[
-                :, :, padding : padding + in_sp[0], padding : padding + in_sp[1], padding : padding + in_sp[2]
-            ]
-        pairs = [(x, np.ascontiguousarray(gx)), (weight, gw)]
+        if back_pad < 0:
+            g = g[:, :, -back_pad:back_pad, -back_pad:back_pad, -back_pad:back_pad]
+        wf = np.ascontiguousarray(weight.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
+        gx, _ = _conv3d_raw(g, wf, max(back_pad, 0), dilation)
+        pairs = [(x, gx), (weight, gw)]
         if bias is not None:
             pairs.append((bias, gm.sum(axis=(0, 2))))
         return pairs

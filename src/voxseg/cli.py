@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -63,11 +62,9 @@ def _add_global_flags(parser, suppress: bool) -> None:
     kwargs = {"default": argparse.SUPPRESS} if suppress else {}
     parser.add_argument("--seed", type=int, help="root RNG seed (default: env SEED or 0)",
                         **({"default": argparse.SUPPRESS} if suppress else {"default": None}))
-    parser.add_argument("--threads", type=int, help="worker cap for per-case parallelism",
-                        **({"default": argparse.SUPPRESS} if suppress else {"default": 1}))
     parser.add_argument("--deterministic", action="store_true",
-                        help="force single-threaded, fixed-order reductions (infer output "
-                             "is the same with or without it)", **kwargs)
+                        help="accepted for reproducible scripts; every output already "
+                             "depends only on --seed and the inputs", **kwargs)
 
 
 def _build_parser() -> _Parser:
@@ -154,11 +151,18 @@ def _write_manifest(out: Path, args: argparse.Namespace) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _parse_ints(text: str, parts: list[str], what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(p) for p in parts)
+    except ValueError:
+        raise UsageError(f"expected {what} as integers, got {text!r}") from None
+
+
 def _parse_dims(text: str) -> tuple[int, int, int]:
-    parts = text.lower().replace("x", ",").split(",")
-    if len(parts) != 3:
+    dims = _parse_ints(text, text.lower().replace("x", ",").split(","), "DxHxW dims")
+    if len(dims) != 3:
         raise UsageError(f"expected DxHxW dims, got {text!r}")
-    return tuple(int(p) for p in parts)
+    return dims
 
 
 def _load_case(img_path: Path, lbl_path: Path | None) -> MultiModalVolume:
@@ -186,23 +190,15 @@ def _dataset_cases(data_dir: Path) -> list[tuple[Path, Path]]:
 
 
 def _cmd_phantom(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     spec = PhantomSpec(dims=_parse_dims(args.dims), n_cases=args.cases,
                        rng_seed=args.seed, noise_sigma=args.noise)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
-    def build(idx: int):
+    for idx in range(args.cases):
         vol = gen_phantom(spec, idx)
         write_volume(out / f"case_{idx:03d}_img.sg3d", vol.modalities)
         write_volume(out / f"case_{idx:03d}_lbl.sg3d", vol.labels[None])
-
-    workers = 1 if args.deterministic else max(1, args.threads)
-    if workers == 1:
-        for idx in range(args.cases):
-            build(idx)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(build, range(args.cases)))
     _write_manifest(out, args)
     print(f"wrote {2 * args.cases} SG3D files to {out}")
     return 0
@@ -235,6 +231,7 @@ def _split_volumes(pairs: list[tuple[Path, Path]], seed: int):
 
 
 def _cmd_train(args) -> int:
+    widths = _parse_ints(args.widths, args.widths.split(","), "--widths")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pairs = _dataset_cases(Path(args.data))
@@ -249,7 +246,7 @@ def _cmd_train(args) -> int:
     )
     net_config = NetworkConfig(
         in_channels=4 if args.no_prior else 5,
-        stage_widths=tuple(int(w) for w in args.widths.split(",")),
+        stage_widths=widths,
         dropout_rate=args.dropout,
         use_msff=config.use_msff, use_aam=config.use_aam,
     )
@@ -404,8 +401,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if args.seed is None:
         args.seed = _env_seed()
-    if args.deterministic:
-        args.threads = 1
     try:
         return _COMMANDS[args.command](args)
     except UsageError as exc:

@@ -40,9 +40,6 @@ class RegionMasks:
     wt: np.ndarray
     tc: np.ndarray
 
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {"et": self.et, "wt": self.wt, "tc": self.tc}
-
 
 @dataclass
 class MetricReport:
@@ -114,11 +111,16 @@ def extract_boundary(mask: np.ndarray) -> np.ndarray:
     """Coordinates (N, 3) of mask voxels with a 6-neighbor outside the mask.
 
     Voxels on the volume border count as boundary. Empty mask gives an
-    empty (0, 3) array.
+    empty (0, 3) array. Only the mask's bounding box is scanned.
     """
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        return np.empty((0, 3), dtype=np.int64)
+    box = []
+    for axis in range(3):
+        hit = np.flatnonzero(mask.any(axis=tuple(a for a in range(3) if a != axis)))
+        if hit.size == 0:
+            return np.empty((0, 3), dtype=np.int64)
+        box.append(slice(hit[0], hit[-1] + 1))
+    mask = mask[tuple(box)]
     padded = np.pad(mask, 1)
     interior = np.ones_like(mask)
     for axis in range(3):
@@ -127,7 +129,7 @@ def extract_boundary(mask: np.ndarray) -> np.ndarray:
         lo[axis] = slice(0, -2)
         hi[axis] = slice(2, None)
         interior &= padded[tuple(lo)] & padded[tuple(hi)]
-    return np.argwhere(mask & ~interior)
+    return np.argwhere(mask & ~interior) + [b.start for b in box]
 
 
 def hausdorff(pred: np.ndarray, gt: np.ndarray, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> float:

@@ -43,7 +43,6 @@ __all__ = [
     "Conv3d",
     "ConvTranspose3d",
     "GroupNorm",
-    "Dropout",
     "ChannelAttention",
     "FeatureCalibration",
     "MultiScaleFusion",
@@ -91,6 +90,17 @@ class NetworkConfig:
 
 class Module:
     """Minimal layer base: parameter discovery via attribute order."""
+
+    def children(self) -> Iterator["Module"]:
+        for attr in vars(self).values():
+            for item in attr if isinstance(attr, (list, tuple)) else (attr,):
+                if isinstance(item, Module):
+                    yield item
+
+    def flops(self, n_out: int) -> int:
+        """Forward FLOPs at `n_out` output voxels: the sub-modules' sum.
+        Layers with arithmetic of their own override it."""
+        return sum(child.flops(n_out) for child in self.children())
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         for name, attr in vars(self).items():
@@ -147,7 +157,7 @@ class Conv3d(Module):
         self.bias = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv3d(x, self.weight, self.bias, stride=1, padding=self.padding, dilation=self.dilation)
+        return conv3d(x, self.weight, self.bias, padding=self.padding, dilation=self.dilation)
 
     def flops(self, n_out: int) -> int:
         cout, cin, k = self.weight.shape[0], self.weight.shape[1], self.kernel
@@ -162,9 +172,9 @@ class ConvTranspose3d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return conv_transpose3d(x, self.weight, self.bias)
 
-    def flops(self, n_in: int) -> int:
+    def flops(self, n_out: int) -> int:
         cin, cout = self.weight.shape[0], self.weight.shape[1]
-        return 2 * cin * cout * 8 * n_in
+        return 2 * cin * cout * n_out
 
 
 class GroupNorm(Module):
@@ -176,16 +186,6 @@ class GroupNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return group_norm(x, self.groups, self.gamma, self.beta, self.eps)
-
-
-class Dropout(Module):
-    def __init__(self, rate: float):
-        self.rate = rate
-
-    def forward(self, x: Tensor, mode: DropoutMode, rng) -> Tensor:
-        if mode is not DropoutMode.OFF and self.rate > 0 and rng is None:
-            raise ValueError("sampling dropout needs an rng")
-        return dropout(x, self.rate, mode, rng)
 
 
 class ChannelAttention(Module):
@@ -202,8 +202,8 @@ class ChannelAttention(Module):
         s = sigmoid(self.expand.forward(relu(self.reduce.forward(global_avg_pool(x)))))
         return mul(x, s)
 
-    def flops(self, n_out: int, channels: int) -> int:
-        return n_out + self.reduce.flops(1) + self.expand.flops(1) + 2 * channels + n_out
+    def flops(self, n_out: int) -> int:
+        return self.reduce.flops(1) + self.expand.flops(1)  # on the one pooled voxel
 
 
 class FeatureCalibration(Module):
@@ -212,20 +212,14 @@ class FeatureCalibration(Module):
     def __init__(self, channels: int, gn_groups: int, rate: float, ca_reduction: int,
                  rng: np.random.Generator, use_ca: bool = True):
         self.norm = GroupNorm(gn_groups, channels)
-        self.drop = Dropout(rate)
+        self.rate = rate
         self.attn = ChannelAttention(channels, ca_reduction, rng) if use_ca else None
 
     def forward(self, x: Tensor, mode: DropoutMode, rng) -> Tensor:
-        y = self.drop.forward(self.norm.forward(relu(x)), mode, rng)
+        y = dropout(self.norm.forward(relu(x)), self.rate, mode, rng)
         if self.attn is not None:
             y = self.attn.forward(y)
         return y
-
-    def flops(self, n_out: int, channels: int) -> int:
-        total = 3 * n_out  # relu + norm + dropout at one op per element
-        if self.attn is not None:
-            total += self.attn.flops(n_out, channels)
-        return total
 
 
 class MultiScaleFusion(Module):
@@ -252,14 +246,6 @@ class MultiScaleFusion(Module):
         b3 = self.calib_dilated.forward(self.branch_dilated.forward(x), mode, rng)
         return add(b1, self.fuse.forward(add(b2, b3)))
 
-    def flops(self, n_out: int) -> int:
-        cout = self.fuse.weight.shape[0]
-        total = self.branch_point.flops(n_out) + self.branch_local.flops(n_out) + self.branch_dilated.flops(n_out)
-        total += self.calib_point.flops(n_out, cout) + self.calib_local.flops(n_out, cout)
-        total += self.calib_dilated.flops(n_out, cout)
-        total += self.fuse.flops(n_out) + 2 * n_out  # two fusion adds
-        return total
-
 
 class PlainConvBlock(Module):
     """Ablation stand-in for the fusion block: one conv plus calibration
@@ -271,9 +257,6 @@ class PlainConvBlock(Module):
 
     def forward(self, x: Tensor, mode: DropoutMode, rng) -> Tensor:
         return self.calib.forward(self.conv.forward(x), mode, rng)
-
-    def flops(self, n_out: int) -> int:
-        return self.conv.flops(n_out) + self.calib.flops(n_out, self.conv.weight.shape[0])
 
 
 class AdaptiveAttention(Module):
@@ -291,9 +274,7 @@ class AdaptiveAttention(Module):
         self.proj_k = Conv3d(channels, channels, 1, rng)
         self.proj_q = Conv3d(channels, channels, 1, rng)
         self.proj_v = Conv3d(channels, channels, 1, rng)
-        self.drop_k = Dropout(cfg.dropout_rate)
-        self.drop_q = Dropout(cfg.dropout_rate)
-        self.drop_v = Dropout(cfg.dropout_rate)
+        self.rate = cfg.dropout_rate
         self.gate = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
 
     def forward(self, x: Tensor, mode: DropoutMode, rng) -> Tensor:
@@ -305,14 +286,14 @@ class AdaptiveAttention(Module):
             )
         # k and q are dropped once their logits exist, and v once mixed, so
         # that without a tape at most two projections are alive at a time
-        k = reshape(self.drop_k.forward(self.proj_k.forward(x), mode, rng), (b, c, n))
-        q = reshape(self.drop_q.forward(self.proj_q.forward(x), mode, rng), (b, c, n))
+        k = reshape(dropout(self.proj_k.forward(x), self.rate, mode, rng), (b, c, n))
+        q = reshape(dropout(self.proj_q.forward(x), self.rate, mode, rng), (b, c, n))
         channel = self.mode == "channel"
         scale = 1.0 / float(np.sqrt(n if channel else c))
         spec = "bin,bjn->bij" if channel else "bcm,bcn->bmn"
         logits = mul(contract(k, q, spec), Tensor(np.asarray(scale, dtype=x.dtype)))
         del k, q
-        v = reshape(self.drop_v.forward(self.proj_v.forward(x), mode, rng), (b, c, n))
+        v = reshape(dropout(self.proj_v.forward(x), self.rate, mode, rng), (b, c, n))
         attn = softmax(logits, axis=2)
         if channel:
             mixed = contract(attn, v, "bij,bjn->bin")
@@ -323,13 +304,10 @@ class AdaptiveAttention(Module):
         gate = reshape(self.gate, (1, c, 1, 1, 1))
         return add(mul(mul(gate, x), mixed), x)
 
-    def flops(self, n_out: int, channels: int) -> int:
-        conv = self.proj_k.flops(n_out) * 3 + 3 * n_out  # projections + dropouts
-        if self.mode == "channel":
-            attn = 2 * channels * channels * n_out * 2 + channels * channels
-        else:
-            attn = 2 * channels * n_out * n_out * 2 + n_out * n_out
-        return conv + attn + 3 * n_out  # gate multiply, modulation, residual add
+    def flops(self, n_out: int) -> int:
+        c = self.gate.shape[0]
+        # the two contractions: logits, then the attention-weighted mix
+        return super().flops(n_out) + 4 * c * n_out * (c if self.mode == "channel" else n_out)
 
 
 class SkipRecalibration(Module):
@@ -340,9 +318,6 @@ class SkipRecalibration(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.conv.forward(x)
-
-    def flops(self, n_out: int) -> int:
-        return self.conv.flops(n_out)
 
 
 class _DecoderStage(Module):
@@ -422,28 +397,13 @@ class TumorSegNet(Module):
         return entries
 
     def count_flops(self, spatial: tuple[int, int, int]) -> int:
-        """Forward multiply-accumulates x2 for convs and contractions;
-        normalization, activations, pooling and dropout count one op per
-        output element."""
-        d, h, w = spatial
-        n = d * h * w
-        widths = self.config.stage_widths
-        total = 0
-        for i, enc in enumerate(self.encoders):
-            total += enc.flops(n)
-            if i < 3:
-                total += n // 8  # pooled elements
-                n //= 8
-        for stage, width in zip(self.decoders, (widths[2], widths[1], widths[0])):
-            total += stage.up.flops(n)
-            n *= 8
-            total += stage.skip.flops(n)
-            if stage.attn is not None:
-                attn_c = width if stage.before_merge else 2 * width
-                total += stage.attn.flops(n, attn_c)
-            total += stage.block.flops(n)
-        total += self.head.flops(n) + n * self.config.out_channels  # head conv + sigmoid
-        return total
+        """Forward multiply-accumulates x2 of the convolutions, transposed
+        convolutions and attention contractions; elementwise ops,
+        normalization, pooling and dropout are not counted."""
+        n = int(np.prod(spatial))
+        total = sum(enc.flops(n // 8 ** i) for i, enc in enumerate(self.encoders))
+        total += sum(stage.flops(n // 8 ** lvl) for stage, lvl in zip(self.decoders, (2, 1, 0)))
+        return total + self.head.flops(n)
 
 
 def count_params(net: Module) -> int:

@@ -113,11 +113,12 @@ def otsu_threshold(flair: np.ndarray, bins: int = 256, mask: np.ndarray | None =
 
     Only masked voxels enter the histogram (default: nonzero voxels, so
     background air is excluded). Ties resolve to the lowest threshold.
+    The histogram is taken over the masked values in float64.
     """
-    flair = np.asarray(flair, dtype=np.float64)
+    flair = np.asarray(flair)
     if mask is None:
         mask = flair != 0
-    values = flair[np.asarray(mask, dtype=bool)]
+    values = flair[np.asarray(mask, dtype=bool)].astype(np.float64)
     if values.size < 2 or np.min(values) == np.max(values):
         raise ValueError("Otsu needs at least two distinct masked intensities")
     counts, edges = np.histogram(values, bins=bins)
@@ -218,8 +219,9 @@ def region_grow(
     it touches the region; seeds are members regardless of the predicate.
     Each round adds every accepted neighbour of the last round's new
     voxels, so the region does not depend on the order of the seeds.
+    Intensities are compared in float64 whatever the input dtype.
     """
-    flair = np.asarray(flair, dtype=np.float64)
+    flair = np.asarray(flair)
     seeds = [tuple(int(v) for v in s) for s in seeds]
     if not seeds:
         raise ValueError("need at least one seed")
@@ -227,8 +229,8 @@ def region_grow(
     for s in seeds:
         if not (0 <= s[0] < D and 0 <= s[1] < H and 0 <= s[2] < W):
             raise ValueError(f"seed {s} outside grid {flair.shape}")
-    mu = float(np.mean([flair[s] for s in seeds]))
-    dev = flair - mu
+    mu = float(np.mean([float(flair[s]) for s in seeds]))
+    dev = np.subtract(flair, mu, dtype=np.float64)
     np.abs(dev, out=dev)  # in place: one float64 temporary volume, not two
     # a False border stops growth at the volume's faces without bounds tests
     accept = np.pad(dev <= delta, 1).ravel()
@@ -254,7 +256,7 @@ def tumor_std_stats(cases) -> TumorStdStats:
     """
     values = []
     for i, (flair, labels) in enumerate(cases):
-        tumor = np.asarray(flair, dtype=np.float64)[np.asarray(labels) != 0]
+        tumor = np.asarray(flair)[np.asarray(labels) != 0].astype(np.float64)
         if tumor.size < 2:
             warnings.warn(f"case {i}: fewer than 2 tumor voxels, skipped", stacklevel=2)
             continue
@@ -283,20 +285,21 @@ def generate_prior(flair: np.ndarray, config: PriorConfig) -> np.ndarray:
 
     Degrades gracefully: when thresholding or component extraction finds
     nothing usable the result is an all-zero prior plus a log diagnostic,
-    never an exception.
+    never an exception. The input keeps its dtype; every comparison is
+    made in float64.
     """
-    flair = np.asarray(flair, dtype=np.float64)
-    empty = np.zeros(flair.shape, dtype=bool)
+    flair = np.asarray(flair)
     try:
         threshold = otsu_threshold(flair, config.histogram_bins)
     except ValueError as exc:
         log.warning("prior degraded to empty mask: %s", exc)
-        return empty
-    candidates = flair > threshold
+        return np.zeros(flair.shape, dtype=bool)
+    # a float64 scalar keeps the comparison in float64 for a float32 volume
+    candidates = flair > np.float64(threshold)
     component = largest_component(candidates, config.component_connectivity)
     if not component.any():
         log.warning("prior degraded to empty mask: no voxels above threshold %.4g", threshold)
-        return empty
+        return np.zeros(flair.shape, dtype=bool)
     seeds = select_seeds(component, config.n_seeds, config.rng_seed)
     return region_grow(flair, seeds, config.delta, config.growth_connectivity)
 

@@ -11,16 +11,14 @@ from collections import deque
 
 import numpy as np
 
-from voxseg.metrics import extract_boundary
 
-
-def conv3d_loops(x, w, bias=None, stride=1, padding=0, dilation=1):
-    """Direct nested-loop 3D cross-correlation."""
+def conv3d_loops(x, w, bias=None, padding=0, dilation=1):
+    """Direct nested-loop stride-1 3D cross-correlation."""
     B, Cin, D, H, W = x.shape
     Cout, _, k, _, _ = w.shape
-    Do = (D + 2 * padding - dilation * (k - 1) - 1) // stride + 1
-    Ho = (H + 2 * padding - dilation * (k - 1) - 1) // stride + 1
-    Wo = (W + 2 * padding - dilation * (k - 1) - 1) // stride + 1
+    Do = D + 2 * padding - dilation * (k - 1)
+    Ho = H + 2 * padding - dilation * (k - 1)
+    Wo = W + 2 * padding - dilation * (k - 1)
     out = np.zeros((B, Cout, Do, Ho, Wo), dtype=np.float64)
     for b in range(B):
         for o in range(Cout):
@@ -32,39 +30,53 @@ def conv3d_loops(x, w, bias=None, stride=1, padding=0, dilation=1):
                             for i in range(k):
                                 for j in range(k):
                                     for l in range(k):
-                                        d = od * stride + i * dilation - padding
-                                        h = oh * stride + j * dilation - padding
-                                        ww = ow * stride + l * dilation - padding
+                                        d = od + i * dilation - padding
+                                        h = oh + j * dilation - padding
+                                        ww = ow + l * dilation - padding
                                         if 0 <= d < D and 0 <= h < H and 0 <= ww < W:
                                             acc += float(x[b, c, d, h, ww]) * float(w[o, c, i, j, l])
                         out[b, o, od, oh, ow] = acc + (0.0 if bias is None else float(bias[o]))
     return out
 
 
-def im2col_full(x, k, stride=1, padding=0, dilation=1):
+def conv3d_input_grad_loops(g, w, in_shape, padding=0, dilation=1):
+    """Input gradient of `conv3d_loops` for output gradient `g`: each output
+    voxel's gradient is scattered back through every kernel offset."""
+    D, H, W = in_shape[2:]
+    k = w.shape[2]
+    gx = np.zeros(in_shape)
+    for od, oh, ow in np.ndindex(*g.shape[2:]):
+        for i, j, l in np.ndindex(k, k, k):
+            d, h, ww = od + i * dilation - padding, oh + j * dilation - padding, ow + l * dilation - padding
+            if 0 <= d < D and 0 <= h < H and 0 <= ww < W:
+                gx[:, :, d, h, ww] += g[:, :, od, oh, ow] @ w[:, :, i, j, l]
+    return gx
+
+
+def im2col_full(x, k, padding=0, dilation=1):
     """Whole (B, Cin*k^3, Do*Ho*Wo) patch matrix of a zero-padded volume.
 
     Returns (col, (Do, Ho, Wo)); rows are ordered (c, i, j, l).
     """
     B, Cin = x.shape[:2]
     xp = np.pad(x, ((0, 0), (0, 0)) + ((padding, padding),) * 3)
-    out_sp = tuple((n + 2 * padding - dilation * (k - 1) - 1) // stride + 1 for n in x.shape[2:])
+    out_sp = tuple(n + 2 * padding - dilation * (k - 1) for n in x.shape[2:])
     sB, sC, sD, sH, sW = xp.strides
     view = np.lib.stride_tricks.as_strided(
         xp,
         (B, Cin, k, k, k) + out_sp,
-        (sB, sC, sD * dilation, sH * dilation, sW * dilation, sD * stride, sH * stride, sW * stride),
+        (sB, sC, sD * dilation, sH * dilation, sW * dilation, sD, sH, sW),
     )
     return np.ascontiguousarray(view).reshape(B, Cin * k ** 3, -1), out_sp
 
 
-def conv3d_im2col(x, w, bias=None, stride=1, padding=0, dilation=1):
+def conv3d_im2col(x, w, bias=None, padding=0, dilation=1):
     """Untiled im2col cross-correlation: one GEMM against the whole patch
     matrix, in the input's precision. Reference for the package's conv3d,
     which splits this GEMM into depth slabs."""
     B = x.shape[0]
     Cout, _, k = w.shape[:3]
-    col, out_sp = im2col_full(x, k, stride, padding, dilation)
+    col, out_sp = im2col_full(x, k, padding, dilation)
     out = np.matmul(w.reshape(Cout, -1), col).reshape(B, Cout, *out_sp)
     if bias is not None:
         out = out + bias.reshape(1, Cout, 1, 1, 1)
@@ -286,13 +298,31 @@ def region_grow_bfs(flair, seeds, delta, connectivity=6):
     return region
 
 
+def extract_boundary_padded(mask):
+    """Mask voxels with a 6-neighbour outside the mask, from the whole
+    volume padded by one False voxel (the volume border counts as
+    outside)."""
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any():
+        return np.empty((0, 3), dtype=np.int64)
+    padded = np.pad(mask, 1)
+    interior = np.ones_like(mask)
+    for axis in range(3):
+        lo = [slice(1, -1)] * 3
+        hi = [slice(1, -1)] * 3
+        lo[axis] = slice(0, -2)
+        hi[axis] = slice(2, None)
+        interior &= padded[tuple(lo)] & padded[tuple(hi)]
+    return np.argwhere(mask & ~interior)
+
+
 def hausdorff_brute(pred, gt, spacing=(1.0, 1.0, 1.0), block=512):
     """Hausdorff distance from every pairwise squared distance between the
-    two masks' boundaries (as `extract_boundary` finds them), in blocks
-    of `block` points."""
+    two masks' boundaries (as `extract_boundary_padded` finds them), in
+    blocks of `block` points."""
     sp = np.asarray(spacing, dtype=np.float64)
-    p = extract_boundary(pred).astype(np.float64) * sp
-    g = extract_boundary(gt).astype(np.float64) * sp
+    p = extract_boundary_padded(pred).astype(np.float64) * sp
+    g = extract_boundary_padded(gt).astype(np.float64) * sp
 
     def directed_sq(a, b):
         worst = 0.0

@@ -24,7 +24,14 @@ from voxseg.autodiff import (
     softmax,
 )
 
-from oracles import conv3d_im2col, conv3d_loops, conv_transpose3d_scatter, im2col_full, matmul_loops
+from oracles import (
+    conv3d_im2col,
+    conv3d_input_grad_loops,
+    conv3d_loops,
+    conv_transpose3d_scatter,
+    im2col_full,
+    matmul_loops,
+)
 
 
 def randt(rng, shape, requires_grad=False, dtype=np.float64):
@@ -56,14 +63,15 @@ class TestConv3d:
         assert out.data[0, 0, 2, 2, 2] == 27.0
         assert out.data[0, 0, 0, 0, 0] == 8.0
 
-    @pytest.mark.parametrize("stride,padding,dilation", [(1, 1, 1), (1, 2, 2), (2, 1, 1), (1, 0, 1)])
-    def test_matches_loop_oracle(self, stride, padding, dilation):
+    # ids read stride-padding-dilation; conv3d is stride 1
+    @pytest.mark.parametrize("padding,dilation", [(1, 1), (2, 2), (0, 1)], ids=["1-1-1", "1-2-2", "1-0-1"])
+    def test_matches_loop_oracle(self, padding, dilation):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((2, 3, 5, 6, 4))
         w = rng.standard_normal((4, 3, 3, 3, 3))
         b = rng.standard_normal(4)
-        want = conv3d_loops(x, w, b, stride=stride, padding=padding, dilation=dilation)
-        got = conv3d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding, dilation=dilation)
+        want = conv3d_loops(x, w, b, padding=padding, dilation=dilation)
+        got = conv3d(Tensor(x), Tensor(w), Tensor(b), padding=padding, dilation=dilation)
         np.testing.assert_allclose(got.data, want, rtol=1e-10, atol=1e-10)
 
     @pytest.mark.parametrize("k", [5, 7])
@@ -95,16 +103,37 @@ class TestConv3d:
 
         assert grad_check(f, [x, w, b]) < 1e-6
 
-    def test_gradcheck_dilated_strided(self):
+    def test_gradcheck_dilated(self):
         rng = np.random.default_rng(4)
         x = randt(rng, (1, 2, 6, 6, 5), requires_grad=True)
         w = randt(rng, (2, 2, 3, 3, 3), requires_grad=True)
 
         def f():
-            y = conv3d(x, w, stride=2, padding=2, dilation=2)
+            y = conv3d(x, w, padding=2, dilation=2)
             return (y * y).sum()
 
         assert grad_check(f, [x, w]) < 1e-6
+
+    @pytest.mark.parametrize("k,padding,dilation", [(3, 5, 2), (1, 1, 1)])
+    def test_padding_beyond_kernel_reach(self, k, padding, dilation):
+        # padding > dilation*(k-1): the input gradient's correlation would
+        # need negative padding, so it crops the output gradient instead
+        rng = np.random.default_rng(5)
+        x = randt(rng, (1, 2, 4, 4, 3), requires_grad=True)
+        w = randt(rng, (3, 2, k, k, k), requires_grad=True)
+        y = conv3d(x, w, padding=padding, dilation=dilation)
+        want = conv3d_loops(x.data, w.data, padding=padding, dilation=dilation)
+        np.testing.assert_allclose(y.data, want, rtol=1e-10, atol=1e-10)
+        g = rng.standard_normal(y.shape)
+        backward((y * Tensor(g)).sum())
+        want_gx = conv3d_input_grad_loops(g, w.data, x.shape, padding, dilation)
+        np.testing.assert_allclose(x.grad, want_gx, rtol=1e-10, atol=1e-10)
+
+        def f():
+            out = conv3d(x, w, padding=padding, dilation=dilation)
+            return (out * out).sum()
+
+        assert grad_check(f, [x, w]) < 1e-5
 
     def test_channel_mismatch_raises(self):
         x = Tensor(np.ones((1, 2, 4, 4, 4)))
@@ -132,24 +161,23 @@ class TestConv3dSlabs:
     covers odd planes to rounding.
     """
 
-    # (x shape, Cout, k, stride, padding, dilation, output rows per slab, dtype)
+    # (x shape, Cout, k, padding, dilation, output rows per slab, dtype)
     CASES = {
-        "uneven_last_slab": ((1, 3, 7, 4, 8), 4, 3, 1, 1, 1, 3, np.float32),
-        "stride2": ((1, 3, 13, 8, 8), 4, 3, 2, 1, 1, 2, np.float32),
-        "dilation2": ((1, 4, 8, 8, 4), 3, 3, 1, 2, 2, 3, np.float32),
-        "batch2": ((2, 3, 7, 4, 4), 5, 3, 1, 1, 1, 2, np.float32),
-        "float64": ((1, 3, 7, 4, 8), 4, 3, 1, 1, 1, 2, np.float64),
-        "k5": ((1, 2, 9, 4, 4), 3, 5, 1, 2, 1, 4, np.float32),
+        "uneven_last_slab": ((1, 3, 7, 4, 8), 4, 3, 1, 1, 3, np.float32),
+        "dilation2": ((1, 4, 8, 8, 4), 3, 3, 2, 2, 3, np.float32),
+        "batch2": ((2, 3, 7, 4, 4), 5, 3, 1, 1, 2, np.float32),
+        "float64": ((1, 3, 7, 4, 8), 4, 3, 1, 1, 2, np.float64),
+        "k5": ((1, 2, 9, 4, 4), 3, 5, 2, 1, 4, np.float32),
     }
 
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_bitwise_equal_to_untiled(self, case, monkeypatch):
-        shape, cout, k, stride, padding, dilation, rows, dtype = case
+        shape, cout, k, padding, dilation, rows, dtype = case
         rng = np.random.default_rng(11)
         x = rng.standard_normal(shape).astype(dtype)
         w = rng.standard_normal((cout, shape[1], k, k, k)).astype(dtype)
         b = rng.standard_normal(cout).astype(dtype)
-        want = conv3d_im2col(x, w, b, stride, padding, dilation)
+        want = conv3d_im2col(x, w, b, padding, dilation)
         Do, Ho, Wo = want.shape[2:]
         monkeypatch.setattr(autodiff, "_SLAB_BYTES", rows * shape[1] * k ** 3 * Ho * Wo * x.itemsize)
         slabs = []
@@ -157,29 +185,29 @@ class TestConv3dSlabs:
         monkeypatch.setattr(autodiff, "_im2col", lambda *a: slabs.append(a) or im2col(*a))
 
         xt, wt, bt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True), Tensor(b)
-        out = conv3d(xt, wt, bt, stride=stride, padding=padding, dilation=dilation)
+        out = conv3d(xt, wt, bt, padding=padding, dilation=dilation)
         assert len(slabs) == -(-Do // rows) > 1
         assert out.data.tobytes() == want.tobytes()
 
         g = rng.standard_normal(want.shape).astype(dtype)
         backward((out * Tensor(g)).sum())
-        col, _ = im2col_full(x, k, stride, padding, dilation)
+        col, _ = im2col_full(x, k, padding, dilation)
         gw = np.matmul(g.reshape(shape[0], cout, -1), col.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         assert wt.grad.tobytes() == (np.zeros_like(w) + gw).tobytes()
-        if stride == 1:
-            wf = np.ascontiguousarray(w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
-            gx = conv3d_im2col(g, wf, None, 1, dilation * (k - 1) - padding, dilation)
-            assert xt.grad.tobytes() == (np.zeros_like(x) + gx).tobytes()
+        wf = np.ascontiguousarray(w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
+        gx = conv3d_im2col(g, wf, None, dilation * (k - 1) - padding, dilation)
+        assert xt.grad.tobytes() == (np.zeros_like(x) + gx).tobytes()
 
-    @pytest.mark.parametrize("stride,padding,dilation", [(1, 1, 1), (2, 1, 1), (1, 2, 2)])
-    def test_any_shape_matches_untiled(self, stride, padding, dilation, monkeypatch):
+    # ids read stride-padding-dilation; conv3d is stride 1
+    @pytest.mark.parametrize("padding,dilation", [(1, 1), (2, 2)], ids=["1-1-1", "1-2-2"])
+    def test_any_shape_matches_untiled(self, padding, dilation, monkeypatch):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((2, 3, 9, 5, 7)).astype(np.float32)
         w = rng.standard_normal((4, 3, 3, 3, 3)).astype(np.float32)
 
         def run():
             xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-            out = conv3d(xt, wt, stride=stride, padding=padding, dilation=dilation)
+            out = conv3d(xt, wt, padding=padding, dilation=dilation)
             backward(out.sum())
             return out.data, xt.grad, wt.grad
 
@@ -345,6 +373,10 @@ class TestDropout:
         a = dropout(x, 0.4, DropoutMode.TRAIN, 9)
         b = dropout(x, 0.4, DropoutMode.MC_ACTIVE, 9)
         np.testing.assert_array_equal(a.data, b.data)
+
+    def test_mc_active_is_an_alias_of_train(self):
+        assert DropoutMode.MC_ACTIVE is DropoutMode.TRAIN
+        assert list(DropoutMode) == [DropoutMode.TRAIN, DropoutMode.OFF]
 
     def test_missing_rng_rejected_when_sampling(self):
         x = Tensor(np.ones(8))

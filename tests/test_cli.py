@@ -235,6 +235,21 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, tmp_path, capsys):
         assert main(["phantom", "--cases", "1", "--out", str(tmp_path), "--bogus"]) == 1
 
+    @pytest.mark.parametrize("dims", ["32xQx16", "16.5x16x8", "x16x8", "32x32"])
+    def test_bad_dims_is_usage_error(self, tmp_path, capsys, dims):
+        out = tmp_path / "d"
+        assert main(["phantom", "--cases", "1", "--dims", dims, "--out", str(out)]) == 1
+        assert "dims" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("widths", ["4,4,x,4", "4.0,4,4,4", "4,,4,4"])
+    def test_bad_widths_is_usage_error(self, tmp_path, capsys, widths):
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(tmp_path), "--out", str(out), "--widths", widths])
+        assert rc == 1
+        assert "--widths" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         rc = main(["prior", "--img", str(tmp_path / "nope.sg3d"), "--out", str(tmp_path / "o.sg3d")])
         assert rc == 2

@@ -15,7 +15,7 @@ from voxseg.metrics import (
     hausdorff,
 )
 
-from oracles import dice_pair, hausdorff_brute, hausdorff_pointloop, random_blob_mask
+from oracles import dice_pair, extract_boundary_padded, hausdorff_brute, hausdorff_pointloop, random_blob_mask
 
 
 class TestComposeRegions:
@@ -110,6 +110,33 @@ class TestBoundary:
 
     def test_empty_mask(self):
         assert extract_boundary(np.zeros((3, 3, 3), dtype=bool)).shape == (0, 3)
+
+    @pytest.mark.parametrize("face", [(0, 0), (0, -1), (1, 0), (1, -1), (2, 0), (2, -1)])
+    def test_mask_touching_a_face_matches_padded_oracle(self, face):
+        axis, end = face
+        rng = np.random.default_rng(21 + axis)
+        m = np.zeros((9, 10, 11), dtype=bool)
+        m[2:7, 3:7, 2:9] = rng.random((5, 4, 7)) > 0.3
+        index = [slice(None)] * 3
+        index[axis] = end
+        m[tuple(index)] |= rng.random(m[tuple(index)].shape) > 0.5
+        got = extract_boundary(m)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, extract_boundary_padded(m))
+
+    def test_offset_single_voxel_matches_padded_oracle(self):
+        m = np.zeros((6, 7, 8), dtype=bool)
+        m[4, 2, 5] = True
+        np.testing.assert_array_equal(extract_boundary(m), [[4, 2, 5]])
+        np.testing.assert_array_equal(extract_boundary(m), extract_boundary_padded(m))
+
+    def test_random_masks_match_padded_oracle(self):
+        rng = np.random.default_rng(22)
+        for _ in range(30):
+            m = random_blob_mask(rng, (12, 9, 10), p_empty=0.1)
+            np.testing.assert_array_equal(extract_boundary(m), extract_boundary_padded(m))
+        empty = np.zeros((4, 5, 6), dtype=bool)
+        assert extract_boundary(empty).shape == extract_boundary_padded(empty).shape == (0, 3)
 
 
 class TestHausdorff:

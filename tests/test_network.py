@@ -5,7 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from voxseg.autodiff import DropoutMode, Tensor, grad_check
+from voxseg import network
+from voxseg.autodiff import DropoutMode, Tensor, grad_check, no_grad
 from voxseg.checkpoint import CheckpointError, load_checkpoint, read_manifest, save_checkpoint
 from voxseg.losses import combined_loss
 from voxseg.network import (
@@ -348,6 +349,42 @@ class TestAccounting:
         big = TumorSegNet(small_cfg(stage_widths=(8, 16, 32, 64)), seed=0)
         ratio = count_params(big) / count_params(small)
         assert 3.0 < ratio < 4.5
+
+    @pytest.mark.parametrize("overrides", [{}, {"use_msff": False, "use_aam": False}, {"aam_mode": "spatial"}],
+                             ids=["full", "baseline", "spatial_attention"])
+    def test_count_flops_equals_a_forward(self, overrides, monkeypatch):
+        # FLOPs from the shapes each conv, transposed conv and contraction
+        # actually sees in one batch-1 forward
+        seen = []
+
+        def counted(fn, flops):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                seen.append(flops(args, out))
+                return out
+            return wrapper
+
+        def conv(args, out):
+            _, cin, k = args[1].shape[:3]
+            return 2 * cin * k ** 3 * out.size
+
+        def up(args, out):
+            cin, cout = args[1].shape[:2]
+            return 2 * cin * out.size
+
+        def contraction(args, out):
+            a, b, spec = args
+            extents = dict(zip(spec.split("->")[0].replace(",", ""), a.shape + b.shape))
+            return 2 * int(np.prod(list(extents.values())))
+
+        monkeypatch.setattr(network, "conv3d", counted(network.conv3d, conv))
+        monkeypatch.setattr(network, "conv_transpose3d", counted(network.conv_transpose3d, up))
+        monkeypatch.setattr(network, "contract", counted(network.contract, contraction))
+        net = TumorSegNet(small_cfg(**overrides), seed=0)
+        x = Tensor(np.random.default_rng(19).standard_normal((1, 5, 16, 16, 8)).astype(np.float32))
+        with no_grad():
+            net.forward(x, OFF)
+        assert sum(seen) == net.count_flops((16, 16, 8)) > 0
 
     def test_kernel_size_ordering(self):
         p3 = count_params(TumorSegNet(small_cfg(msff_kernel=3, msff_dilation=2), seed=0))

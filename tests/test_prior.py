@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from voxseg import prior as prior_module
 from voxseg.phantom import PhantomSpec, gen_phantom
 from voxseg.prior import (
     PriorConfig,
@@ -253,6 +254,18 @@ class TestRegionGrow:
         np.testing.assert_array_equal(out, region_grow_bfs(grid, seeds, 10.0, 6))
         np.testing.assert_array_equal(out, grid == 60.0)
 
+    def test_float32_input_compares_in_float64(self):
+        # |1e-8 - 3| is 3 - 1e-8 in float64 but rounds to 3.0 in float32;
+        # delta sits between the two, so only float64 arithmetic rejects
+        flair = np.array([[[3.0, 1e-8, 3.0]]], dtype=np.float32)
+        dev = 3.0 - float(flair[0, 0, 1])
+        delta = dev - 1e-9
+        assert np.float32(delta) == np.float32(3.0)
+        got = region_grow(flair, [(0, 0, 0)], delta)
+        want = region_grow(flair.astype(np.float64), [(0, 0, 0)], delta)
+        np.testing.assert_array_equal(got, want)
+        assert got.tolist() == [[[True, False, False]]]
+
     def test_26_connectivity_matches_bfs_oracle(self):
         rng = np.random.default_rng(8)
         for _ in range(8):
@@ -318,6 +331,26 @@ class TestGeneratePrior:
         vol = gen_phantom(PhantomSpec(rng_seed=12), 1)
         cfg = PriorConfig(rng_seed=7)
         np.testing.assert_array_equal(generate_prior(vol.flair, cfg), generate_prior(vol.flair, cfg))
+
+    def test_float32_threshold_compares_in_float64(self, monkeypatch):
+        # the threshold lies between two float32 neighbours, nearer the upper
+        # one: as a float32 it would equal `hi` and drop the `hi` voxels
+        lo = np.float32(100.0)
+        hi = np.nextafter(lo, np.float32(np.inf))
+        threshold = float(lo) + 0.75 * (float(hi) - float(lo))
+        assert np.float32(threshold) == hi
+        flair = np.zeros((6, 6, 6), dtype=np.float32)
+        flair[1:5, 1:5, 1:5] = lo
+        flair[2:4, 2:4, 2:4] = hi
+        monkeypatch.setattr(prior_module, "otsu_threshold", lambda *a, **k: threshold)
+        cfg = PriorConfig(delta=1e-9, rng_seed=2)
+        got = generate_prior(flair, cfg)
+        np.testing.assert_array_equal(got, generate_prior(flair.astype(np.float64), cfg))
+        np.testing.assert_array_equal(got, flair == hi)
+
+    def test_float32_volume_gives_the_float64_threshold(self):
+        flair = gen_phantom(PhantomSpec(rng_seed=13), 0).flair.astype(np.float32)
+        assert otsu_threshold(flair) == otsu_threshold(flair.astype(np.float64))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
