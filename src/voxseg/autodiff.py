@@ -158,10 +158,6 @@ class Tensor:
             raise ValueError(f"item() on tensor of size {self.data.size}")
         return float(self.data.reshape(()))
 
-    def astype(self, dtype) -> "Tensor":
-        """Leaf copy in the given precision (graph is not carried over)."""
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -792,6 +788,9 @@ def backward(loss: Tensor) -> None:
 # gradient checking (float64 only)
 # ---------------------------------------------------------------------------
 
+GRAD_CHECK_ATOL = 1e-6
+GRAD_CHECK_STENCIL_RTOL = 2e-6
+
 
 def grad_check(
     f: Callable[[], Tensor],
@@ -799,8 +798,6 @@ def grad_check(
     h: float = 1e-5,
     max_coords: int = 1000,
     rng_seed: int = 0,
-    atol: float = 1e-6,
-    stencil_rtol: float = 2e-6,
 ) -> float:
     """Max relative error between backward gradients and central differences.
 
@@ -815,9 +812,9 @@ def grad_check(
     are exactly what the backward rules differentiate; without pinning, a
     kink inside the probe interval yields a branch-average slope no
     gradient convention matches. Each coordinate is probed with two
-    stencils (h and h/2). Coordinates where both readings sit below `atol`
-    are under the round-off noise floor (eps * |loss| / (2h)) and count as
-    agreeing. Stencils that disagree beyond `stencil_rtol` mark the
+    stencils (h and h/2). Readings below `GRAD_CHECK_ATOL` are under the
+    round-off noise floor (eps * |loss| / (2h)) and count as agreeing.
+    Stencils that disagree beyond `GRAD_CHECK_STENCIL_RTOL` mark the
     coordinate unmeasurable at this step size and skip it; agreeing
     stencils are Richardson-extrapolated before comparison. A wrong
     backward rule disagrees at every step size and is always flagged.
@@ -864,9 +861,9 @@ def grad_check(
             num_h = central(h)
             num_half = central(h / 2.0)
             a = float(ana.reshape(-1)[idx])
-            if max(abs(a), abs(num_half)) < atol:
+            if max(abs(a), abs(num_half)) < GRAD_CHECK_ATOL:
                 continue
-            if abs(num_h - num_half) > stencil_rtol * max(abs(num_h), abs(num_half), 1e-8):
+            if abs(num_h - num_half) > GRAD_CHECK_STENCIL_RTOL * max(abs(num_h), abs(num_half), 1e-8):
                 continue
             # Richardson extrapolation of two agreeing stencils cancels the
             # O(h^2) truncation term

@@ -2,7 +2,8 @@
 
 Every subcommand writes a run manifest (the fully resolved configuration)
 next to its outputs, so any result can be reproduced from the manifest
-alone. Exit codes: 0 success, 1 usage error, 2 runtime failure.
+alone. Exit codes: 0 success, 1 usage error, 2 runtime failure; numbers
+and seeds out of range are usage errors, raised before any output exists.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .autodiff import _openblas
-from .metrics import RegionMasks, compose_regions
+from .metrics import REGIONS, RegionMasks, compose_regions
 from .network import NetworkConfig, TumorSegNet, count_params
 from .phantom import PhantomSpec, gen_phantom, split_dataset
 from .prior import PriorConfig, build_input, generate_prior, tumor_std_stats
@@ -49,18 +50,33 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _env_seed() -> int:
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= lo:
+                return int(text)
+        except ValueError:
+            pass
+        raise UsageError(f"expected an integer >= {lo}, got {text!r}")
+    return parse
+
+
+_seed = _int_at_least(0)
+
+
+def _config(cls, **kwargs):
+    """`cls(**kwargs)`, with the config's own range checks as usage errors."""
     try:
-        return int(os.environ.get("SEED", "0"))
-    except ValueError:
-        return 0
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _add_global_flags(parser, suppress: bool) -> None:
     # the same flags parse before or after the subcommand; the subparser
     # copies use SUPPRESS so an omitted flag never clobbers the root value
     kwargs = {"default": argparse.SUPPRESS} if suppress else {}
-    parser.add_argument("--seed", type=int, help="root RNG seed (default: env SEED or 0)",
+    parser.add_argument("--seed", type=_seed, help="root RNG seed (default: env SEED or 0)",
                         **({"default": argparse.SUPPRESS} if suppress else {"default": None}))
     parser.add_argument("--deterministic", action="store_true",
                         help="accepted for reproducible scripts; every output already "
@@ -112,7 +128,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--img", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--passes", type=int, default=20)
+    p.add_argument("--passes", type=_int_at_least(1), default=20)
 
     p = sub.add_parser("eval", help="score a prediction against labels")
     _add_global_flags(p, suppress=True)
@@ -142,12 +158,8 @@ def _write_manifest(out: Path, args: argparse.Namespace) -> None:
         blas = _openblas()
         lines.append(f"blas_core={blas.corename if blas else 'unknown'}")
         lines.append(f"blas_threads={blas.get_threads() if blas else 'unknown'}")
-    if out.suffix:
-        path = out.with_suffix(out.suffix + ".manifest.txt")
-        out.parent.mkdir(parents=True, exist_ok=True)
-    else:
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "run_manifest.txt"
+    # the command has written `out` already: a directory, or a file
+    path = out / "run_manifest.txt" if out.is_dir() else out.with_name(out.name + ".manifest.txt")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -190,25 +202,25 @@ def _dataset_cases(data_dir: Path) -> list[tuple[Path, Path]]:
 
 
 def _cmd_phantom(args) -> int:
-    spec = PhantomSpec(dims=_parse_dims(args.dims), n_cases=args.cases,
-                       rng_seed=args.seed, noise_sigma=args.noise)
+    spec = _config(PhantomSpec, dims=_parse_dims(args.dims), n_cases=args.cases,
+                   rng_seed=args.seed, noise_sigma=args.noise)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    for idx in range(args.cases):
+    for idx in range(spec.n_cases):
         vol = gen_phantom(spec, idx)
         write_volume(out / f"case_{idx:03d}_img.sg3d", vol.modalities)
         write_volume(out / f"case_{idx:03d}_lbl.sg3d", vol.labels[None])
     _write_manifest(out, args)
-    print(f"wrote {2 * args.cases} SG3D files to {out}")
+    print(f"wrote {2 * spec.n_cases} SG3D files to {out}")
     return 0
 
 
 def _cmd_prior(args) -> int:
+    config = _config(PriorConfig, histogram_bins=args.bins, n_seeds=args.n_seeds, delta=args.delta,
+                     component_connectivity=args.component_connectivity,
+                     growth_connectivity=args.growth_connectivity, rng_seed=args.seed)
     vol = _load_case(Path(args.img), None)
-    config = PriorConfig(histogram_bins=args.bins, n_seeds=args.n_seeds, delta=args.delta,
-                         component_connectivity=args.component_connectivity,
-                         growth_connectivity=args.growth_connectivity, rng_seed=args.seed)
     prior = generate_prior(vol.flair, config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -232,24 +244,20 @@ def _split_volumes(pairs: list[tuple[Path, Path]], seed: int):
 
 def _cmd_train(args) -> int:
     widths = _parse_ints(args.widths, args.widths.split(","), "--widths")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    pairs = _dataset_cases(Path(args.data))
-    train_volumes, val_volumes = _split_volumes(pairs, args.seed)
-
-    config = TrainConfig(
-        lr_init=args.lr, lr_min=args.lr_min, weight_decay=args.weight_decay,
+    config = _config(
+        TrainConfig, lr_init=args.lr, lr_min=args.lr_min, weight_decay=args.weight_decay,
         cosine_T=args.cosine_t, cosine_restarts=args.cosine_restarts,
         max_epochs=args.epochs, patience=min(args.patience, args.epochs),
-        seed=args.seed, use_prior=not args.no_prior, use_msff=not args.no_msff,
-        use_aam=not args.no_aam, use_mc=not args.no_mc,
+        seed=args.seed, use_prior=not args.no_prior, use_mc=not args.no_mc,
     )
-    net_config = NetworkConfig(
-        in_channels=4 if args.no_prior else 5,
-        stage_widths=widths,
-        dropout_rate=args.dropout,
-        use_msff=config.use_msff, use_aam=config.use_aam,
+    net_config = _config(
+        NetworkConfig, in_channels=4 if args.no_prior else 5, stage_widths=widths,
+        dropout_rate=args.dropout, use_msff=not args.no_msff, use_aam=not args.no_aam,
     )
+    pairs = _dataset_cases(Path(args.data))
+    train_volumes, val_volumes = _split_volumes(pairs, args.seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     result = fit(train_volumes, val_volumes, net_config, config)
 
     ckpt.save_checkpoint(out / "checkpoint.sgcp", result.best_state)
@@ -271,8 +279,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ckpt_path = Path(args.checkpoint)
     config_path = ckpt_path.parent / "config.json"
     if not config_path.exists():
@@ -288,6 +294,8 @@ def _cmd_infer(args) -> int:
     net.load_state(ckpt.load_checkpoint(ckpt_path))
 
     vol = _load_case(Path(args.img), None)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     prior = None
     if use_prior:
         # regrow the prior exactly as during training (same derived delta)
@@ -299,10 +307,9 @@ def _cmd_infer(args) -> int:
 
     write_volume(out / "mean.sg3d", mc.mean)
     write_volume(out / "variance.sg3d", mc.variance)
-    masks = np.stack([mc.masks.et, mc.masks.wt, mc.masks.tc]).astype(np.uint8)
-    write_volume(out / "masks.sg3d", masks)
+    write_volume(out / "masks.sg3d", mc.masks.stack().astype(np.uint8))
     mid = vol.dims[2] // 2
-    for i, region in enumerate(("et", "wt", "tc")):
+    for i, region in enumerate(REGIONS):
         export_slice_pgm(mc.mean[i], "axial", mid, (0.0, 1.0), out / f"mean_{region}.pgm")
         export_slice_pgm(mc.variance[i], "axial", mid, (0.0, 0.25), out / f"uncertainty_{region}.pgm")
     _write_manifest(out, args)
@@ -324,19 +331,13 @@ def _cmd_eval(args) -> int:
     spacing = _parse_spacing(args.spacing)
     _, pred = read_volume(Path(args.pred))
     _, labels = read_volume(Path(args.labels))
-    if pred.shape[0] == 3:
-        masks = RegionMasks(et=pred[0] > 0, wt=pred[1] > 0, tc=pred[2] > 0)
+    if pred.shape[0] == len(REGIONS):
+        masks = RegionMasks(*(pred > 0))
     elif pred.shape[0] == 1:
         masks = compose_regions(pred[0])
     else:
-        raise ValueError(f"prediction must have 1 or 3 channels, found {pred.shape[0]}")
-
-    from .training import McResult
-
-    mc = McResult(mean=np.zeros((3,) + pred.shape[1:], dtype=np.float32),
-                  variance=np.zeros((3,) + pred.shape[1:], dtype=np.float32),
-                  masks=masks, n_passes=0)
-    report = evaluate_case(mc, labels[0], spacing)
+        raise ValueError(f"prediction must have 1 or {len(REGIONS)} channels, found {pred.shape[0]}")
+    report = evaluate_case(masks, labels[0], spacing)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(report.to_text())
@@ -399,9 +400,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    if args.seed is None:
-        args.seed = _env_seed()
     try:
+        if args.seed is None:
+            args.seed = _seed(os.environ.get("SEED", "0"))
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -8,18 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, clamp, tlog, tsum
+from .autodiff import Tensor, _coerce, clamp, tlog, tsum
 
 __all__ = ["DICE_EPS", "BCE_CLIP", "dice_loss", "bce_loss", "combined_loss"]
 
 DICE_EPS = 1e-5
 BCE_CLIP = 1e-7
-
-
-def _as_tensor(g, dtype) -> Tensor:
-    if isinstance(g, Tensor):
-        return g
-    return Tensor(np.asarray(g, dtype=dtype))
 
 
 def _channel_axes(t: Tensor):
@@ -34,7 +28,7 @@ def dice_loss(p: Tensor, g, eps: float = DICE_EPS) -> Tensor:
     """1 - (2*sum(p*g) + eps) / (sum(p) + sum(g) + eps), channel-averaged."""
     if np.min(p.data) < 0.0 or np.max(p.data) > 1.0:
         raise ValueError("predictions outside [0, 1]")
-    g = _as_tensor(g, p.dtype)
+    g = _coerce(g, p.dtype)
     if g.shape != p.shape:
         raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
     axes = _channel_axes(p)
@@ -47,7 +41,7 @@ def dice_loss(p: Tensor, g, eps: float = DICE_EPS) -> Tensor:
 
 def bce_loss(p: Tensor, g, clip: float = BCE_CLIP) -> Tensor:
     """Mean binary cross-entropy with natural logs; p clipped away from {0, 1}."""
-    g = _as_tensor(g, p.dtype)
+    g = _coerce(g, p.dtype)
     if g.shape != p.shape:
         raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
     pc = clamp(p, clip, 1.0 - clip)
@@ -55,6 +49,6 @@ def bce_loss(p: Tensor, g, clip: float = BCE_CLIP) -> Tensor:
     return -ll.mean()
 
 
-def combined_loss(p: Tensor, g, eps: float = DICE_EPS) -> Tensor:
+def combined_loss(p: Tensor, g) -> Tensor:
     """Arithmetic mean of the Dice and cross-entropy terms."""
-    return (dice_loss(p, g, eps) + bce_loss(p, g)) * 0.5
+    return (dice_loss(p, g) + bce_loss(p, g)) * 0.5

@@ -8,11 +8,14 @@ point sets, using Euclidean distance with optional voxel spacing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .volume_io import LABEL_CODES
+
 __all__ = [
+    "REGIONS",
     "RegionMasks",
     "MetricReport",
     "UndefinedMetricError",
@@ -22,7 +25,6 @@ __all__ = [
     "hausdorff",
 ]
 
-_VALID_LABELS = frozenset({0, 1, 2, 4})
 # voxels per block of lines in one distance-transform pass: bounds the
 # pass's work arrays at a few tens of MB whatever the box size
 _EDT_BLOCK = 1 << 21
@@ -34,11 +36,19 @@ class UndefinedMetricError(Exception):
 
 @dataclass(frozen=True)
 class RegionMasks:
-    """Binary masks for the three nested evaluation regions."""
+    """Binary masks for the three nested evaluation regions. The field
+    order is the channel order of every stacked region array."""
 
     et: np.ndarray
     wt: np.ndarray
     tc: np.ndarray
+
+    def stack(self) -> np.ndarray:
+        """(3, D, H, W) array of the masks; `RegionMasks(*stack)` undoes it."""
+        return np.stack([getattr(self, region) for region in REGIONS])
+
+
+REGIONS = tuple(f.name for f in fields(RegionMasks))
 
 
 @dataclass
@@ -89,7 +99,7 @@ def compose_regions(labels: np.ndarray) -> RegionMasks:
     """ET = {4}, TC = {1, 4}, WT = {1, 2, 4} from a coded label grid."""
     labels = np.asarray(labels)
     present = set(np.unique(labels).tolist())
-    unknown = present - _VALID_LABELS
+    unknown = present - LABEL_CODES
     if unknown:
         raise ValueError(f"unknown label codes {sorted(unknown)}")
     return RegionMasks(et=labels == 4, wt=labels > 0, tc=(labels == 1) | (labels == 4))

@@ -149,12 +149,12 @@ def _he_weight(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) ->
 
 class Conv3d(Module):
     def __init__(self, cin: int, cout: int, kernel: int, rng: np.random.Generator,
-                 dilation: int = 1, bias: bool = True):
+                 dilation: int = 1):
         self.kernel = kernel
         self.dilation = dilation
         self.padding = dilation * (kernel - 1) // 2
         self.weight = _he_weight(rng, (cout, cin, kernel, kernel, kernel), cin * kernel ** 3)
-        self.bias = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         return conv3d(x, self.weight, self.bias, padding=self.padding, dilation=self.dilation)

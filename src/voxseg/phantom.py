@@ -9,7 +9,7 @@ which makes the classical prior pipeline succeed by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,11 +35,10 @@ class PhantomSpec:
     rng_seed: int = 0
     tumor_radius_range: tuple[float, float] = (0.18, 0.28)  # fraction of min extent
     noise_sigma: float = 4.0
-    intensities: dict[str, tuple[float, float, float, float]] = field(
-        default_factory=lambda: dict(DEFAULT_INTENSITIES)
-    )
 
     def __post_init__(self):
+        if self.n_cases < 1:
+            raise ValueError(f"n_cases must be >= 1, got {self.n_cases}")
         d, h, w = self.dims
         if d < 16 or h < 16 or w < 8:
             raise ValueError(f"dims {self.dims} below the 16x16x8 minimum")
@@ -95,7 +94,7 @@ def gen_phantom(spec: PhantomSpec, case_index: int) -> MultiModalVolume:
     ]
     modalities = np.zeros((4,) + spec.dims, dtype=np.float64)
     for name, mask in tissue_masks:
-        means = spec.intensities[name]
+        means = DEFAULT_INTENSITIES[name]
         for m in range(4):
             modalities[m][mask] = means[m]
     if spec.noise_sigma > 0:

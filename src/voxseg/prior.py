@@ -108,19 +108,17 @@ class TumorStdStats:
         return cls(values, ordered[0], ordered[-1], ordered[(len(ordered) - 1) // 2])
 
 
-def otsu_threshold(flair: np.ndarray, bins: int = 256, mask: np.ndarray | None = None) -> float:
+def otsu_threshold(flair: np.ndarray, bins: int = 256) -> float:
     """Histogram bin edge maximizing the between-class variance.
 
-    Only masked voxels enter the histogram (default: nonzero voxels, so
-    background air is excluded). Ties resolve to the lowest threshold.
-    The histogram is taken over the masked values in float64.
+    Only nonzero voxels enter the histogram, so background air is
+    excluded. Ties resolve to the lowest threshold. The histogram is taken
+    over those values in float64.
     """
     flair = np.asarray(flair)
-    if mask is None:
-        mask = flair != 0
-    values = flair[np.asarray(mask, dtype=bool)].astype(np.float64)
+    values = flair[flair != 0].astype(np.float64)
     if values.size < 2 or np.min(values) == np.max(values):
-        raise ValueError("Otsu needs at least two distinct masked intensities")
+        raise ValueError("Otsu needs at least two distinct nonzero intensities")
     counts, edges = np.histogram(values, bins=bins)
     counts = counts.astype(np.float64)
     centers = 0.5 * (edges[:-1] + edges[1:])

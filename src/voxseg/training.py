@@ -20,6 +20,7 @@ import numpy as np
 from .autodiff import DropoutMode, Tensor, _openblas, backward, derive_rng, no_grad
 from .losses import combined_loss
 from .metrics import (
+    REGIONS,
     MetricReport,
     RegionMasks,
     UndefinedMetricError,
@@ -55,7 +56,9 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """Optimization hyperparameters plus the four ablation switches."""
+    """Optimization hyperparameters plus the prior and MC switches. The
+    architecture switches live in `NetworkConfig` alone, so `voxseg train`
+    records them in config.json under "net" only."""
 
     lr_init: float = 1e-4
     weight_decay: float = 1e-5
@@ -65,17 +68,16 @@ class TrainConfig:
     max_epochs: int = 1000
     patience: int = 150
     seed: int = 0
-    n_mc_passes: int = 20
     use_prior: bool = True
-    use_msff: bool = True
-    use_aam: bool = True
     use_mc: bool = True
 
     def __post_init__(self):
-        if self.patience > self.max_epochs:
-            raise ValueError(f"patience {self.patience} exceeds max_epochs {self.max_epochs}")
-        if self.n_mc_passes < 1:
-            raise ValueError("n_mc_passes must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.cosine_T < 1:
+            raise ValueError(f"cosine_T must be >= 1, got {self.cosine_T}")
+        if not 0 <= self.patience <= self.max_epochs:
+            raise ValueError(f"patience {self.patience} not in [0, max_epochs={self.max_epochs}]")
 
 
 class AdamW:
@@ -86,14 +88,14 @@ class AdamW:
     exempt. Betas and epsilon are the method's standard constants.
     """
 
-    def __init__(self, named_params, lr: float = 1e-4, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, named_params, lr: float = 1e-4, weight_decay: float = 0.0):
         self.named_params = list(named_params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = {name: np.zeros_like(p.data) for name, p in self.named_params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.named_params}
         self.t = 0
@@ -103,8 +105,8 @@ class AdamW:
         if lr is None:
             lr = self.lr
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         for name, p in self.named_params:
             g = p.grad
             if g is None:
@@ -113,11 +115,11 @@ class AdamW:
                 raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name}")
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
             p.data -= lr * update
             if self.weight_decay > 0.0 and p.data.ndim >= 2:
                 p.data -= lr * self.weight_decay * p.data
@@ -205,16 +207,15 @@ def prepare_case(volume: MultiModalVolume, use_prior: bool,
     """Network input (and target channels when labels exist) for one case.
 
     The prior channel is generated from FLAIR when `use_prior` is set;
-    targets are stacked (ET, WT, TC) region masks as float32.
+    targets are the stacked region masks (`RegionMasks.stack`) as float32.
     """
     prior = None
     if use_prior:
         prior = generate_prior(volume.flair, prior_config or PriorConfig())
-    x = build_input(volume, prior if use_prior else None)
+    x = build_input(volume, prior)
     target = None
     if volume.labels is not None:
-        masks = compose_regions(volume.labels)
-        target = np.stack([masks.et, masks.wt, masks.tc]).astype(np.float32)[None]
+        target = compose_regions(volume.labels).stack().astype(np.float32)[None]
     return x, target
 
 
@@ -233,17 +234,6 @@ def fit(train_volumes, val_volumes, net_config: NetworkConfig | None,
     """
     if not train_volumes or not val_volumes:
         raise ValueError("need non-empty train and validation splits")
-    if net_config is None:
-        net_config = NetworkConfig(
-            in_channels=5 if config.use_prior else 4,
-            use_msff=config.use_msff,
-            use_aam=config.use_aam,
-        )
-    expected = 5 if config.use_prior else 4
-    if net_config.in_channels != expected:
-        raise ValueError(
-            f"net_config.in_channels={net_config.in_channels} inconsistent with use_prior={config.use_prior}"
-        )
     if prior_config is None and config.use_prior:
         prior_config = PriorConfig(delta=derive_delta(train_volumes), rng_seed=config.seed)
 
@@ -252,6 +242,11 @@ def fit(train_volumes, val_volumes, net_config: NetworkConfig | None,
     for i, (_, target) in enumerate(train_cases + val_cases):
         if target is None:
             raise ValueError(f"case {i} has no labels")
+    channels = train_cases[0][0].shape[1]
+    if net_config is None:
+        net_config = NetworkConfig(in_channels=channels)
+    elif net_config.in_channels != channels:
+        raise ValueError(f"net_config.in_channels={net_config.in_channels} != {channels} input channels")
 
     net = TumorSegNet(net_config, seed=config.seed)
     optimizer = AdamW(list(net.named_parameters()), lr=config.lr_init,
@@ -379,12 +374,11 @@ def mc_infer(net: TumorSegNet, x: Tensor, n_passes: int = 20, seed: int = 0,
         variance += dev
     variance /= n_passes
     mean32 = mean.astype(np.float32)
-    masks = RegionMasks(et=mean32[0] >= 0.5, wt=mean32[1] >= 0.5, tc=mean32[2] >= 0.5)
     return McResult(mean=mean32, variance=variance.astype(np.float32),
-                    masks=masks, n_passes=n_passes)
+                    masks=RegionMasks(*(mean32 >= 0.5)), n_passes=n_passes)
 
 
-def evaluate_case(mc: McResult, gt_labels: np.ndarray,
+def evaluate_case(masks: RegionMasks, gt_labels: np.ndarray,
                   spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> MetricReport:
     """Dice and Hausdorff per region against coded ground-truth labels.
 
@@ -394,8 +388,8 @@ def evaluate_case(mc: McResult, gt_labels: np.ndarray,
     gt = compose_regions(gt_labels)
     values: dict[str, float] = {}
     flags: list[str] = []
-    for region in ("et", "wt", "tc"):
-        pred_mask = getattr(mc.masks, region)
+    for region in REGIONS:
+        pred_mask = getattr(masks, region)
         gt_mask = getattr(gt, region)
         values[f"dice_{region}"] = dice_score(pred_mask, gt_mask)
         if not pred_mask.any() and not gt_mask.any():

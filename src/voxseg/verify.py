@@ -189,8 +189,7 @@ def _check_full_network(rng):
     return lambda: combined_loss(net.forward(x, OFF), target), [x] + net.parameters()
 
 
-def run_gradient_checks(tolerance: float = DEFAULT_TOL, seed: int = 0,
-                        full_net_coords: int = 3) -> list[CheckResult]:
+def run_gradient_checks(tolerance: float = DEFAULT_TOL, seed: int = 0) -> list[CheckResult]:
     """Run every gradient check; returns one result per check."""
     builders: list[tuple[str, Callable, dict]] = [
         ("conv3d_k3", _check_conv3d_plain, {}),
@@ -210,7 +209,7 @@ def run_gradient_checks(tolerance: float = DEFAULT_TOL, seed: int = 0,
         ("adaptive_attention_channel", lambda r: _check_aam(r, "channel"), {"max_coords": 150}),
         ("adaptive_attention_spatial", lambda r: _check_aam(r, "spatial"), {"max_coords": 150}),
         ("skip_recalibration", _check_skip, {}),
-        ("full_network_combined_loss", _check_full_network, {"max_coords": full_net_coords}),
+        ("full_network_combined_loss", _check_full_network, {"max_coords": 3}),
     ]
     results = []
     for name, builder, kwargs in builders:

@@ -29,6 +29,7 @@ __all__ = [
     "MultiModalVolume",
     "VolumeFormatError",
     "MODALITY_NAMES",
+    "LABEL_CODES",
     "read_volume",
     "write_volume",
     "center_crop",
@@ -43,6 +44,8 @@ DTYPE_UINT8 = 2
 _HEADER = struct.Struct("<4sIIIIII")
 
 MODALITY_NAMES = ("flair", "t1ce", "t1", "t2")
+# 0 background, 1 necrosis, 2 edema, 4 enhancing tumor
+LABEL_CODES = frozenset({0, 1, 2, 4})
 
 _DTYPE_BY_CODE = {DTYPE_FLOAT32: np.dtype("<f4"), DTYPE_UINT8: np.dtype("u1")}
 _CODE_BY_KIND = {"f": DTYPE_FLOAT32, "u": DTYPE_UINT8}
@@ -96,7 +99,7 @@ class MultiModalVolume:
                 raise ValueError(
                     f"label dims {self.labels.shape} != modality dims {self.modalities.shape[1:]}"
                 )
-            bad = set(np.unique(self.labels)) - {0, 1, 2, 4}
+            bad = set(np.unique(self.labels).tolist()) - LABEL_CODES
             if bad:
                 raise ValueError(f"unknown label codes {sorted(bad)}")
 

@@ -187,7 +187,7 @@ class TestCriterion5LearningSanity:
         vol, net, x, result, elapsed = overfit_run
         best_train = min(h.train_loss for h in result.history)
         mc = mc_infer(net, x, n_passes=20, seed=11)
-        rep = evaluate_case(mc, vol.labels)
+        rep = evaluate_case(mc.masks, vol.labels)
         print(f"  train loss {best_train:.4f}, dice et/wt/tc "
               f"{rep.dice_et:.3f}/{rep.dice_wt:.3f}/{rep.dice_tc:.3f}, {elapsed:.0f}s")
         ok = (
@@ -228,7 +228,8 @@ class TestCriterion6AblationSwitchboard:
         spec = PhantomSpec(dims=(16, 16, 8), rng_seed=12)
         volumes = [gen_phantom(spec, i) for i in range(3)]
         for name, switches in self.TABLE_CONFIGS:
-            config = TrainConfig(seed=1, max_epochs=2, patience=2, **switches)
+            config = TrainConfig(seed=1, max_epochs=2, patience=2,
+                                 use_prior=switches["use_prior"], use_mc=switches["use_mc"])
             net_config = NetworkConfig(
                 in_channels=5 if switches["use_prior"] else 4,
                 stage_widths=(4, 4, 4, 4), gn_groups=2, ca_reduction=2,

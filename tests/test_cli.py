@@ -235,7 +235,7 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, tmp_path, capsys):
         assert main(["phantom", "--cases", "1", "--out", str(tmp_path), "--bogus"]) == 1
 
-    @pytest.mark.parametrize("dims", ["32xQx16", "16.5x16x8", "x16x8", "32x32"])
+    @pytest.mark.parametrize("dims", ["32xQx16", "16.5x16x8", "x16x8", "32x32", "0x16x8"])
     def test_bad_dims_is_usage_error(self, tmp_path, capsys, dims):
         out = tmp_path / "d"
         assert main(["phantom", "--cases", "1", "--dims", dims, "--out", str(out)]) == 1
@@ -255,8 +255,60 @@ class TestExitCodes:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param("train --data {missing} --out {out}", id="train-no-data"),
+        pytest.param("infer --checkpoint {missing}/checkpoint.sgcp --img {img} --out {out}", id="infer-no-config"),
+    ])
+    def test_runtime_error_before_writing_leaves_no_output(self, dataset, tmp_path, capsys, argv):
+        paths = {"out": tmp_path / "out", "missing": tmp_path / "missing", "img": dataset / "case_000_img.sg3d"}
+        assert main(argv.format(**paths).split()) == 2
+        assert "error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_env_seed_respected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEED", "42")
         out = tmp_path / "d"
         assert main(["phantom", "--cases", "1", "--dims", "16x16x8", "--out", str(out)]) == 0
         assert "seed=42" in (out / "run_manifest.txt").read_text()
+
+    @pytest.mark.parametrize("argv, env_seed", [
+        pytest.param("phantom --cases -1 --out {out}", None, id="phantom-cases"),
+        pytest.param("--seed -1 phantom --cases 1 --dims 16x16x8 --out {out}", None, id="phantom-seed"),
+        pytest.param("phantom --cases 1 --dims 16x16x8 --out {out}", "abc", id="env-seed-text"),
+        pytest.param("phantom --cases 1 --dims 16x16x8 --out {out}", "-2", id="env-seed-neg"),
+        pytest.param("prior --img {img} --out {out} --n-seeds 0", None, id="prior-n-seeds"),
+        pytest.param("train --data {data} --out {out} --epochs 0", None, id="train-epochs"),
+        pytest.param("train --data {data} --out {out} --cosine-t 0", None, id="train-cosine-t"),
+        pytest.param("train --data {data} --out {out} --patience -3", None, id="train-patience"),
+        pytest.param("train --data {data} --out {out} --seed -1", None, id="train-seed"),
+        pytest.param("train --data {data} --out {out} --widths 4,4,6,4", None, id="train-widths"),
+        pytest.param("infer --checkpoint {ckpt} --img {img} --out {out} --passes 0", None, id="infer-passes"),
+    ])
+    def test_out_of_range_is_usage_error_without_output(self, dataset, trained, tmp_path, monkeypatch,
+                                                        capsys, argv, env_seed):
+        if env_seed is not None:
+            monkeypatch.setenv("SEED", env_seed)
+        paths = {"out": tmp_path / "out", "data": dataset, "img": dataset / "case_000_img.sg3d",
+                 "ckpt": trained / "checkpoint.sgcp"}
+        assert main(argv.format(**paths).split()) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestManifestPlacement:
+    def test_directory_with_suffix_holds_its_manifest(self, tmp_path):
+        out = tmp_path / "data.v1"
+        assert main(["phantom", "--cases", "1", "--dims", "16x16x8", "--out", str(out)]) == 0
+        assert (out / "run_manifest.txt").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.v1"]
+
+    def test_suffixless_prior_output(self, dataset, tmp_path):
+        out = tmp_path / "mask"
+        assert main(["prior", "--img", str(dataset / "case_000_img.sg3d"), "--out", str(out)]) == 0
+        assert out.is_file() and (tmp_path / "mask.manifest.txt").is_file()
+
+    def test_suffixless_eval_output(self, dataset, tmp_path):
+        labels = str(dataset / "case_000_lbl.sg3d")
+        out = tmp_path / "report"
+        assert main(["eval", "--pred", labels, "--labels", labels, "--out", str(out)]) == 0
+        assert out.is_file() and (tmp_path / "report.manifest.txt").is_file()

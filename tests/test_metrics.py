@@ -7,7 +7,9 @@ import pytest
 
 from voxseg import metrics
 from voxseg.metrics import (
+    REGIONS,
     MetricReport,
+    RegionMasks,
     UndefinedMetricError,
     compose_regions,
     dice_score,
@@ -42,6 +44,27 @@ class TestComposeRegions:
     def test_unknown_code_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             compose_regions(np.array([[[3]]], dtype=np.uint8))
+
+
+class TestRegionMasksStack:
+    def test_stack_order_and_round_trip(self):
+        labels = np.zeros((4, 5, 3), dtype=np.uint8)
+        labels[0, 0, 0] = 4
+        labels[1, 1, 1] = 1
+        labels[2, 2, 2] = 2
+        masks = compose_regions(labels)
+        stack = masks.stack()
+        assert REGIONS == ("et", "wt", "tc")
+        assert stack.shape == (3, 4, 5, 3) and stack.dtype == bool
+        for i, region in enumerate(REGIONS):
+            np.testing.assert_array_equal(stack[i], getattr(masks, region))
+        back = RegionMasks(*stack)
+        for region in REGIONS:
+            np.testing.assert_array_equal(getattr(back, region), getattr(masks, region))
+
+    def test_wrong_channel_count_raises(self):
+        with pytest.raises(TypeError):
+            RegionMasks(*np.zeros((4, 2, 2, 2), dtype=bool))
 
 
 class TestDiceScore:

@@ -55,6 +55,15 @@ class TestGenPhantom:
         with pytest.raises(ValueError, match="minimum"):
             PhantomSpec(dims=(8, 16, 16))
 
+    @pytest.mark.parametrize("n_cases", [0, -1])
+    def test_case_count_validation(self, n_cases):
+        with pytest.raises(ValueError, match="n_cases"):
+            PhantomSpec(n_cases=n_cases)
+
+    def test_spec_is_hashable(self):
+        assert hash(PhantomSpec()) == hash(PhantomSpec())
+        assert len({PhantomSpec(rng_seed=1), PhantomSpec(rng_seed=1), PhantomSpec(rng_seed=2)}) == 2
+
 
 class TestSplitDataset:
     def test_ten_cases_split_8_1_1(self):

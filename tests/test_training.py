@@ -202,6 +202,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="patience"):
             TrainConfig(patience=2000, max_epochs=1000)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"max_epochs": 0, "patience": 0}, "max_epochs"),
+        ({"cosine_T": 0}, "cosine_T"),
+        ({"patience": -3}, "patience"),
+    ])
+    def test_out_of_range_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**kwargs)
+
 
 class TestFit:
     def test_loss_decreases_and_history_complete(self, phantom):
@@ -224,6 +233,10 @@ class TestFit:
         cfg = TrainConfig(seed=1, max_epochs=2, patience=2, use_prior=False)
         result = fit([phantom], [phantom], tiny_net_config(in_channels=4), cfg)
         assert result.net.config.in_channels == 4
+
+    def test_default_network_follows_input_channels(self, phantom):
+        result = fit([phantom], [phantom], None, TrainConfig(max_epochs=1, patience=1, use_prior=False))
+        assert result.net.config == NetworkConfig(in_channels=4)
 
     def test_channel_mismatch_rejected(self, phantom):
         cfg = TrainConfig(seed=1, max_epochs=2, patience=2, use_prior=False)
@@ -441,14 +454,9 @@ class TestEvaluateCase:
         labels[2:5, 2:5, 2:5] = 2
         labels[3:4, 3:4, 3:4] = 4
         from voxseg.metrics import RegionMasks, compose_regions
-        from voxseg.training import McResult
 
         gt = compose_regions(labels)
-        mc = McResult(mean=np.zeros((3, 8, 8, 8), dtype=np.float32),
-                      variance=np.zeros((3, 8, 8, 8), dtype=np.float32),
-                      masks=RegionMasks(et=gt.et.copy(), wt=gt.wt.copy(), tc=gt.tc.copy()),
-                      n_passes=1)
-        rep = evaluate_case(mc, labels)
+        rep = evaluate_case(RegionMasks(et=gt.et.copy(), wt=gt.wt.copy(), tc=gt.tc.copy()), labels)
         assert rep.dice_wt == 1.0 and rep.dice_et == 1.0 and rep.dice_tc == 1.0
         assert rep.hd_wt == 0.0 and rep.hd_et == 0.0 and rep.hd_tc == 0.0
         assert rep.flags == []
@@ -457,13 +465,9 @@ class TestEvaluateCase:
         labels = np.zeros((6, 6, 6), dtype=np.uint8)
         labels[1:3, 1:3, 1:3] = 2
         from voxseg.metrics import RegionMasks
-        from voxseg.training import McResult
 
         empty = np.zeros((6, 6, 6), dtype=bool)
-        mc = McResult(mean=np.zeros((3, 6, 6, 6), dtype=np.float32),
-                      variance=np.zeros((3, 6, 6, 6), dtype=np.float32),
-                      masks=RegionMasks(et=empty, wt=empty, tc=empty), n_passes=1)
-        rep = evaluate_case(mc, labels)
+        rep = evaluate_case(RegionMasks(et=empty, wt=empty, tc=empty), labels)
         assert rep.dice_wt == 0.0
         assert math.isnan(rep.hd_wt)
         assert "hd_wt_undefined" in rep.flags
