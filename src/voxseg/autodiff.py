@@ -83,7 +83,7 @@ def _pin_selection(compute):
 
 
 class DropoutMode(Enum):
-    """Dropout behaviour: TRAIN samples masks, OFF is identity.
+    """A network forward's dropout: TRAIN samples masks, OFF is identity.
 
     MC_ACTIVE, the name inference uses for Monte-Carlo sampling, is an
     alias of TRAIN: both draw the same masks.
@@ -408,21 +408,17 @@ def _keep_mask(gen: np.random.Generator, shape: tuple[int, ...], rate: float) ->
     return keep
 
 
-def dropout(x: Tensor, rate: float, mode: DropoutMode, rng) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: survivors are scaled by 1/(1-rate) at sample time.
 
-    TRAIN (alias MC_ACTIVE) samples; OFF returns the input unchanged.
-    `rng` is an integer seed or a numpy Generator; a given seed always
-    yields the same mask.
+    The mask is drawn from `rng`; with `rng` None (dropout off) the input
+    is returned unchanged.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
-    if mode is DropoutMode.OFF or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
-    if rng is None:
-        raise ValueError("sampling dropout needs a seed or Generator")
-    gen = np.random.default_rng(rng) if isinstance(rng, (int, np.integer)) else rng
-    mask = _keep_mask(gen, x.shape, rate).astype(x.dtype)
+    mask = _keep_mask(rng, x.shape, rate).astype(x.dtype)
     mask /= np.asarray(1.0 - rate, dtype=x.dtype)
     data = x.data * mask
     return _make(data, (x,), lambda g: [(x, g * mask)], "dropout")

@@ -20,15 +20,16 @@ import numpy as np
 from . import checkpoint as ckpt
 from .autodiff import _openblas
 from .metrics import REGIONS, RegionMasks, compose_regions
-from .network import NetworkConfig, TumorSegNet, count_params
+from .network import CA_REDUCTION, SPATIAL_ATTENTION_VOXEL_CAP, NetworkConfig, TumorSegNet, count_params
 from .phantom import PhantomSpec, gen_phantom, split_dataset
-from .prior import PriorConfig, build_input, generate_prior, tumor_std_stats
+from .prior import PriorConfig, generate_prior, tumor_std_stats
 from .training import (
     TrainConfig,
     evaluate_case,
     fit,
     format_history,
     mc_infer,
+    prepare_case,
 )
 from .verify import run_gradient_checks
 from .volume_io import (
@@ -211,7 +212,6 @@ def _cmd_phantom(args) -> int:
         vol = gen_phantom(spec, idx)
         write_volume(out / f"case_{idx:03d}_img.sg3d", vol.modalities)
         write_volume(out / f"case_{idx:03d}_lbl.sg3d", vol.labels[None])
-    _write_manifest(out, args)
     print(f"wrote {2 * spec.n_cases} SG3D files to {out}")
     return 0
 
@@ -225,7 +225,6 @@ def _cmd_prior(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_volume(out, prior[None].astype(np.uint8))
-    _write_manifest(out, args)
     print(f"prior mask: {int(prior.sum())} voxels -> {out}")
     return 0
 
@@ -256,10 +255,9 @@ def _cmd_train(args) -> int:
     )
     pairs = _dataset_cases(Path(args.data))
     train_volumes, val_volumes = _split_volumes(pairs, args.seed)
+    result = fit(train_volumes, val_volumes, net_config, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = fit(train_volumes, val_volumes, net_config, config)
-
     ckpt.save_checkpoint(out / "checkpoint.sgcp", result.best_state)
     (out / "history.csv").write_text(format_history(result.history))
     net_json = {
@@ -272,10 +270,14 @@ def _cmd_train(args) -> int:
         "best_val_loss": result.best_val_loss,
     }
     (out / "config.json").write_text(json.dumps(net_json, indent=2) + "\n")
-    _write_manifest(out, args)
     print(f"trained {len(result.history)} epochs; best val loss "
           f"{result.best_val_loss:.4f} at epoch {result.best_epoch} -> {out}")
     return 0
+
+
+# "net" settings that older config.json files record, each at the one value it may hold
+_RETIRED_NET_SETTINGS = {"out_channels": NetworkConfig.out_channels, "ca_reduction": CA_REDUCTION,
+                         "spatial_attention_voxel_cap": SPATIAL_ATTENTION_VOXEL_CAP, "aam_before_merge": False}
 
 
 def _cmd_infer(args) -> int:
@@ -285,6 +287,9 @@ def _cmd_infer(args) -> int:
         raise FileNotFoundError(f"missing {config_path} (written by `voxseg train`)")
     stored = json.loads(config_path.read_text())
     net_kwargs = dict(stored["net"])
+    for key, fixed in _RETIRED_NET_SETTINGS.items():
+        if net_kwargs.pop(key, fixed) != fixed:
+            raise ValueError(f"{config_path}: net setting {key} must be {fixed!r} or absent")
     net_kwargs["stage_widths"] = tuple(net_kwargs["stage_widths"])
     net_config = NetworkConfig(**net_kwargs)
     use_prior = stored["train"]["use_prior"]
@@ -294,16 +299,13 @@ def _cmd_infer(args) -> int:
     net.load_state(ckpt.load_checkpoint(ckpt_path))
 
     vol = _load_case(Path(args.img), None)
+    # regrow the prior exactly as during training (same derived delta)
+    stored_prior = stored.get("prior")
+    prior_config = PriorConfig(**stored_prior) if stored_prior else PriorConfig(rng_seed=args.seed)
+    x, _ = prepare_case(vol, use_prior, prior_config)
+    mc = mc_infer(net, x, n_passes=args.passes, seed=args.seed, use_mc=use_mc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    prior = None
-    if use_prior:
-        # regrow the prior exactly as during training (same derived delta)
-        stored_prior = stored.get("prior") or {}
-        prior_config = PriorConfig(**stored_prior) if stored_prior else PriorConfig(rng_seed=args.seed)
-        prior = generate_prior(vol.flair, prior_config)
-    x = build_input(vol, prior)
-    mc = mc_infer(net, x, n_passes=args.passes, seed=args.seed, use_mc=use_mc)
 
     write_volume(out / "mean.sg3d", mc.mean)
     write_volume(out / "variance.sg3d", mc.variance)
@@ -312,7 +314,6 @@ def _cmd_infer(args) -> int:
     for i, region in enumerate(REGIONS):
         export_slice_pgm(mc.mean[i], "axial", mid, (0.0, 1.0), out / f"mean_{region}.pgm")
         export_slice_pgm(mc.variance[i], "axial", mid, (0.0, 0.25), out / f"uncertainty_{region}.pgm")
-    _write_manifest(out, args)
     print(f"{mc.n_passes} passes -> {out} (mean, variance, masks, slice figures)")
     return 0
 
@@ -341,7 +342,6 @@ def _cmd_eval(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(report.to_text())
-    _write_manifest(out, args)
     print(report.to_text().strip())
     return 0
 
@@ -357,7 +357,6 @@ def _cmd_gradcheck(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "gradcheck_report.txt").write_text("\n".join(lines) + "\n")
-    _write_manifest(out, args)
     if not all(r.passed for r in results):
         print("gradient checks FAILED", file=sys.stderr)
         return 2
@@ -376,7 +375,6 @@ def _cmd_stats(args) -> int:
     lines = [f"min={stats.min!r}", f"max={stats.max!r}", f"median={stats.median!r}"]
     lines += [f"case_{i}={v!r}" for i, v in enumerate(stats.per_case)]
     out.write_text("\n".join(lines) + "\n")
-    _write_manifest(out, args)
     print(f"tumor-intensity std over {len(stats.per_case)} cases: "
           f"min {stats.min:.2f}, median {stats.median:.2f}, max {stats.max:.2f}")
     return 0
@@ -403,7 +401,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.seed is None:
             args.seed = _seed(os.environ.get("SEED", "0"))
-        return _COMMANDS[args.command](args)
+        rc = _COMMANDS[args.command](args)
+        _write_manifest(Path(args.out), args)
+        return rc
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

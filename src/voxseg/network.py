@@ -14,7 +14,7 @@ three-pool U-Net baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .autodiff import (
     sigmoid,
     softmax,
 )
+from .metrics import REGIONS
 
 __all__ = [
     "NetworkConfig",
@@ -53,28 +54,30 @@ __all__ = [
     "count_params",
 ]
 
+# Channel-attention bottleneck: the hidden width is channels // CA_REDUCTION.
+CA_REDUCTION = 2
+# Spatial attention builds an NxN matrix, so it refuses volumes above this.
+SPATIAL_ATTENTION_VOXEL_CAP = 32768
+
 
 @dataclass
 class NetworkConfig:
     """Architecture hyperparameters, including the ablation switches."""
 
+    out_channels: ClassVar[int] = len(REGIONS)  # one sigmoid channel per region
     in_channels: int = 5
-    out_channels: int = 3
     stage_widths: tuple[int, int, int, int] = (8, 16, 32, 64)
     gn_groups: int = 4
     dropout_rate: float = 0.2
     msff_kernel: int = 3
     msff_dilation: int = 2
-    ca_reduction: int = 2
     aam_mode: str = "channel"
-    spatial_attention_voxel_cap: int = 32768
-    aam_before_merge: bool = False
     use_msff: bool = True
     use_aam: bool = True
 
     def __post_init__(self):
-        if self.out_channels < 1:
-            raise ValueError("out_channels must be >= 1")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
         if self.aam_mode not in ("channel", "spatial"):
             raise ValueError(f"aam_mode {self.aam_mode!r} not in ('channel', 'spatial')")
         if self.msff_kernel not in (1, 3, 5, 7):
@@ -84,8 +87,8 @@ class NetworkConfig:
         for w in self.stage_widths:
             if w % self.gn_groups:
                 raise ValueError(f"stage width {w} not divisible by gn_groups {self.gn_groups}")
-            if w % self.ca_reduction:
-                raise ValueError(f"stage width {w} not divisible by ca_reduction {self.ca_reduction}")
+            if w % CA_REDUCTION:
+                raise ValueError(f"stage width {w} not divisible by {CA_REDUCTION}")
 
 
 class Module:
@@ -178,23 +181,22 @@ class ConvTranspose3d(Module):
 
 
 class GroupNorm(Module):
-    def __init__(self, groups: int, channels: int, eps: float = 1e-5):
+    def __init__(self, groups: int, channels: int):
         self.groups = groups
-        self.eps = eps
         self.gamma = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return group_norm(x, self.groups, self.gamma, self.beta, self.eps)
+        return group_norm(x, self.groups, self.gamma, self.beta)
 
 
 class ChannelAttention(Module):
     """Squeeze-excite gate: per-channel sigmoid weights from pooled stats."""
 
-    def __init__(self, channels: int, reduction: int, rng: np.random.Generator):
-        if channels % reduction:
-            raise ValueError(f"channels {channels} not divisible by reduction {reduction}")
-        hidden = channels // reduction
+    def __init__(self, channels: int, rng: np.random.Generator):
+        if channels % CA_REDUCTION:
+            raise ValueError(f"channels {channels} not divisible by {CA_REDUCTION}")
+        hidden = channels // CA_REDUCTION
         self.reduce = Conv3d(channels, hidden, 1, rng)
         self.expand = Conv3d(hidden, channels, 1, rng)
 
@@ -209,14 +211,14 @@ class ChannelAttention(Module):
 class FeatureCalibration(Module):
     """ReLU -> group norm -> dropout -> channel attention, in that order."""
 
-    def __init__(self, channels: int, gn_groups: int, rate: float, ca_reduction: int,
+    def __init__(self, channels: int, gn_groups: int, rate: float,
                  rng: np.random.Generator, use_ca: bool = True):
         self.norm = GroupNorm(gn_groups, channels)
         self.rate = rate
-        self.attn = ChannelAttention(channels, ca_reduction, rng) if use_ca else None
+        self.attn = ChannelAttention(channels, rng) if use_ca else None
 
-    def forward(self, x: Tensor, mode: DropoutMode, rng) -> Tensor:
-        y = dropout(self.norm.forward(relu(x)), self.rate, mode, rng)
+    def forward(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
+        y = dropout(self.norm.forward(relu(x)), self.rate, rng)
         if self.attn is not None:
             y = self.attn.forward(y)
         return y
@@ -235,15 +237,15 @@ class MultiScaleFusion(Module):
         self.branch_point = Conv3d(cin, cout, 1, rng)
         self.branch_local = Conv3d(cin, cout, k, rng)
         self.branch_dilated = Conv3d(cin, cout, k, rng, dilation=cfg.msff_dilation)
-        self.calib_point = FeatureCalibration(cout, cfg.gn_groups, cfg.dropout_rate, cfg.ca_reduction, rng)
-        self.calib_local = FeatureCalibration(cout, cfg.gn_groups, cfg.dropout_rate, cfg.ca_reduction, rng)
-        self.calib_dilated = FeatureCalibration(cout, cfg.gn_groups, cfg.dropout_rate, cfg.ca_reduction, rng)
+        self.calib_point = FeatureCalibration(cout, cfg.gn_groups, cfg.dropout_rate, rng)
+        self.calib_local = FeatureCalibration(cout, cfg.gn_groups, cfg.dropout_rate, rng)
+        self.calib_dilated = FeatureCalibration(cout, cfg.gn_groups, cfg.dropout_rate, rng)
         self.fuse = Conv3d(cout, cout, 1, rng)
 
-    def forward(self, x: Tensor, mode: DropoutMode, rng) -> Tensor:
-        b1 = self.calib_point.forward(self.branch_point.forward(x), mode, rng)
-        b2 = self.calib_local.forward(self.branch_local.forward(x), mode, rng)
-        b3 = self.calib_dilated.forward(self.branch_dilated.forward(x), mode, rng)
+    def forward(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
+        b1 = self.calib_point.forward(self.branch_point.forward(x), rng)
+        b2 = self.calib_local.forward(self.branch_local.forward(x), rng)
+        b3 = self.calib_dilated.forward(self.branch_dilated.forward(x), rng)
         return add(b1, self.fuse.forward(add(b2, b3)))
 
 
@@ -253,10 +255,10 @@ class PlainConvBlock(Module):
 
     def __init__(self, cin: int, cout: int, cfg: NetworkConfig, rng: np.random.Generator):
         self.conv = Conv3d(cin, cout, 3, rng)
-        self.calib = FeatureCalibration(cout, cfg.gn_groups, cfg.dropout_rate, cfg.ca_reduction, rng, use_ca=False)
+        self.calib = FeatureCalibration(cout, cfg.gn_groups, cfg.dropout_rate, rng, use_ca=False)
 
-    def forward(self, x: Tensor, mode: DropoutMode, rng) -> Tensor:
-        return self.calib.forward(self.conv.forward(x), mode, rng)
+    def forward(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
+        return self.calib.forward(self.conv.forward(x), rng)
 
 
 class AdaptiveAttention(Module):
@@ -270,30 +272,29 @@ class AdaptiveAttention(Module):
 
     def __init__(self, channels: int, cfg: NetworkConfig, rng: np.random.Generator):
         self.mode = cfg.aam_mode
-        self.voxel_cap = cfg.spatial_attention_voxel_cap
         self.proj_k = Conv3d(channels, channels, 1, rng)
         self.proj_q = Conv3d(channels, channels, 1, rng)
         self.proj_v = Conv3d(channels, channels, 1, rng)
         self.rate = cfg.dropout_rate
         self.gate = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
 
-    def forward(self, x: Tensor, mode: DropoutMode, rng) -> Tensor:
+    def forward(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
         b, c = x.shape[0], x.shape[1]
         n = int(np.prod(x.shape[2:]))
-        if self.mode == "spatial" and n > self.voxel_cap:
+        if self.mode == "spatial" and n > SPATIAL_ATTENTION_VOXEL_CAP:
             raise ValueError(
-                f"spatial attention over {n} voxels exceeds the configured cap of {self.voxel_cap}"
+                f"spatial attention over {n} voxels exceeds the cap of {SPATIAL_ATTENTION_VOXEL_CAP}"
             )
         # k and q are dropped once their logits exist, and v once mixed, so
         # that without a tape at most two projections are alive at a time
-        k = reshape(dropout(self.proj_k.forward(x), self.rate, mode, rng), (b, c, n))
-        q = reshape(dropout(self.proj_q.forward(x), self.rate, mode, rng), (b, c, n))
+        k = reshape(dropout(self.proj_k.forward(x), self.rate, rng), (b, c, n))
+        q = reshape(dropout(self.proj_q.forward(x), self.rate, rng), (b, c, n))
         channel = self.mode == "channel"
         scale = 1.0 / float(np.sqrt(n if channel else c))
         spec = "bin,bjn->bij" if channel else "bcm,bcn->bmn"
         logits = mul(contract(k, q, spec), Tensor(np.asarray(scale, dtype=x.dtype)))
         del k, q
-        v = reshape(dropout(self.proj_v.forward(x), self.rate, mode, rng), (b, c, n))
+        v = reshape(dropout(self.proj_v.forward(x), self.rate, rng), (b, c, n))
         attn = softmax(logits, axis=2)
         if channel:
             mixed = contract(attn, v, "bij,bjn->bin")
@@ -324,21 +325,17 @@ class _DecoderStage(Module):
     def __init__(self, cin: int, width: int, cfg: NetworkConfig, rng: np.random.Generator):
         self.up = ConvTranspose3d(cin, width, rng)
         self.skip = SkipRecalibration(width, rng)
-        attn_channels = width if cfg.aam_before_merge else 2 * width
-        self.attn = AdaptiveAttention(attn_channels, cfg, rng) if cfg.use_aam else None
-        self.before_merge = cfg.aam_before_merge
+        self.attn = AdaptiveAttention(2 * width, cfg, rng) if cfg.use_aam else None
         block = MultiScaleFusion if cfg.use_msff else PlainConvBlock
         self.block = block(2 * width, width, cfg, rng)
 
-    def forward(self, x: Tensor, enc_feat: Tensor, mode: DropoutMode, rng) -> Tensor:
+    def forward(self, x: Tensor, enc_feat: Tensor, rng: np.random.Generator | None) -> Tensor:
         up = self.up.forward(x)
-        if self.attn is not None and self.before_merge:
-            up = self.attn.forward(up, mode, rng)
         merged = concat([self.skip.forward(enc_feat), up], axis=1)
         del up, enc_feat  # without a tape, `merged` is the only copy left
-        if self.attn is not None and not self.before_merge:
-            merged = self.attn.forward(merged, mode, rng)
-        return self.block.forward(merged, mode, rng)
+        if self.attn is not None:
+            merged = self.attn.forward(merged, rng)
+        return self.block.forward(merged, rng)
 
 
 class TumorSegNet(Module):
@@ -357,6 +354,7 @@ class TumorSegNet(Module):
         self.head = Conv3d(widths[0], config.out_channels, 1, rng)
 
     def forward(self, x: Tensor, mode: DropoutMode = DropoutMode.OFF, rng=None) -> Tensor:
+        """TRAIN (alias MC_ACTIVE) draws every dropout mask from `rng`, a seed or Generator."""
         if x.ndim != 5:
             raise ValueError(f"expected (B,C,D,H,W) input, got {x.shape}")
         if x.shape[1] != self.config.in_channels:
@@ -364,18 +362,19 @@ class TumorSegNet(Module):
         for n in x.shape[2:]:
             if n % 8:
                 raise ValueError(f"spatial extents must be divisible by 8, got {x.shape[2:]}")
-        if isinstance(rng, (int, np.integer)):
-            rng = np.random.default_rng(rng)
+        if mode is not DropoutMode.OFF and rng is None:
+            raise ValueError("sampling dropout needs a seed or Generator")
+        rng = None if mode is DropoutMode.OFF else np.random.default_rng(rng)  # a Generator passes through
 
         feats = []
         for i, enc in enumerate(self.encoders):
-            x = enc.forward(x, mode, rng)
+            x = enc.forward(x, rng)
             feats.append(x)
             if i < 3:
                 x = maxpool3d(x)
         for stage, skip_idx in zip(self.decoders, (2, 1, 0)):
             # popped, so the decoder can free the skip feature once merged
-            x = stage.forward(x, feats.pop(skip_idx), mode, rng)
+            x = stage.forward(x, feats.pop(skip_idx), rng)
         return sigmoid(self.head.forward(x))
 
     def layer_manifest(self) -> list[tuple[str, str]]:

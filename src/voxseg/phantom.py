@@ -45,6 +45,8 @@ class PhantomSpec:
         lo, hi = self.tumor_radius_range
         if not 0 < lo <= hi < 0.5:
             raise ValueError(f"bad tumor radius range {self.tumor_radius_range}")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def _ellipsoid(dims, center, radii) -> np.ndarray:

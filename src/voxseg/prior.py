@@ -78,8 +78,8 @@ class PriorConfig:
     def __post_init__(self):
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be >= 1")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not (np.isfinite(self.delta) and self.delta > 0):
+            raise ValueError(f"delta must be finite and > 0, got {self.delta}")
         if self.histogram_bins < 2:
             raise ValueError("need at least 2 histogram bins")
         _offsets(self.component_connectivity)

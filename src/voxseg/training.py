@@ -78,6 +78,10 @@ class TrainConfig:
             raise ValueError(f"cosine_T must be >= 1, got {self.cosine_T}")
         if not 0 <= self.patience <= self.max_epochs:
             raise ValueError(f"patience {self.patience} not in [0, max_epochs={self.max_epochs}]")
+        for name in ("lr_init", "lr_min", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 class AdamW:

@@ -15,7 +15,6 @@ from typing import Callable
 import numpy as np
 
 from .autodiff import (
-    DropoutMode,
     Tensor,
     contract,
     conv3d,
@@ -41,7 +40,6 @@ from .network import (
 
 __all__ = ["CheckResult", "run_gradient_checks"]
 
-OFF = DropoutMode.OFF
 DEFAULT_TOL = 1e-5
 
 
@@ -67,8 +65,7 @@ def _perturb(module, rng, scale=0.05):
 
 
 def _small_cfg(**overrides):
-    base = dict(in_channels=2, stage_widths=(4, 4, 4, 4), gn_groups=2, ca_reduction=2,
-                dropout_rate=0.0)
+    base = dict(in_channels=2, stage_widths=(4, 4, 4, 4), gn_groups=2, dropout_rate=0.0)
     base.update(overrides)
     return NetworkConfig(**base)
 
@@ -151,28 +148,28 @@ def _check_broadcast_mul(rng):
 
 
 def _check_channel_attention(rng):
-    ca = _perturb(ChannelAttention(4, 2, rng).cast_parameters(np.float64), rng)
+    ca = _perturb(ChannelAttention(4, rng).cast_parameters(np.float64), rng)
     x = _randt(rng, (1, 4, 2, 2, 2))
     return lambda: _sumsq(ca.forward(x)), [x] + ca.parameters()
 
 
 def _check_fcm(rng):
-    fcm = _perturb(FeatureCalibration(4, 2, 0.0, 2, rng).cast_parameters(np.float64), rng)
+    fcm = _perturb(FeatureCalibration(4, 2, 0.0, rng).cast_parameters(np.float64), rng)
     x = _randt(rng, (1, 4, 2, 2, 2))
-    return lambda: _sumsq(fcm.forward(x, OFF, None)), [x] + fcm.parameters()
+    return lambda: _sumsq(fcm.forward(x, None)), [x] + fcm.parameters()
 
 
 def _check_msff(rng):
     block = _perturb(MultiScaleFusion(2, 4, _small_cfg(), rng).cast_parameters(np.float64), rng)
     x = _randt(rng, (1, 2, 3, 3, 3))
-    return lambda: _sumsq(block.forward(x, OFF, None)), [x] + block.parameters()
+    return lambda: _sumsq(block.forward(x, None)), [x] + block.parameters()
 
 
 def _check_aam(rng, mode):
     aam = _perturb(AdaptiveAttention(4, _small_cfg(aam_mode=mode), rng).cast_parameters(np.float64), rng)
     aam.gate.data[:] = rng.standard_normal(4) * 0.5
     x = _randt(rng, (1, 4, 2, 2, 1))
-    return lambda: _sumsq(aam.forward(x, OFF, None)), [x] + aam.parameters()
+    return lambda: _sumsq(aam.forward(x, None)), [x] + aam.parameters()
 
 
 def _check_skip(rng):
@@ -186,7 +183,7 @@ def _check_full_network(rng):
     net = _perturb(TumorSegNet(cfg, seed=11).cast_parameters(np.float64), rng, scale=0.02)
     x = _randt(rng, (1, 5, 8, 8, 8))
     target = (rng.random((1, 3, 8, 8, 8)) > 0.5).astype(np.float64)
-    return lambda: combined_loss(net.forward(x, OFF), target), [x] + net.parameters()
+    return lambda: combined_loss(net.forward(x), target), [x] + net.parameters()
 
 
 def run_gradient_checks(tolerance: float = DEFAULT_TOL, seed: int = 0) -> list[CheckResult]:

@@ -232,7 +232,7 @@ class TestCriterion6AblationSwitchboard:
                                  use_prior=switches["use_prior"], use_mc=switches["use_mc"])
             net_config = NetworkConfig(
                 in_channels=5 if switches["use_prior"] else 4,
-                stage_widths=(4, 4, 4, 4), gn_groups=2, ca_reduction=2,
+                stage_widths=(4, 4, 4, 4), gn_groups=2,
                 use_msff=switches["use_msff"], use_aam=switches["use_aam"],
             )
             result = fit(volumes[:2], volumes[2:], net_config, config)

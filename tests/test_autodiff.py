@@ -345,47 +345,34 @@ class TestGroupNorm:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = Tensor(np.arange(8.0).reshape(1, 1, 2, 2, 2))
-        for mode in DropoutMode:
-            out = dropout(x, 0.0, mode, 1)
-            np.testing.assert_array_equal(out.data, x.data)
+        for rng in (None, np.random.default_rng(1)):
+            assert dropout(x, 0.0, rng) is x
 
     def test_off_mode_identity(self):
         rng = np.random.default_rng(13)
         x = randt(rng, (3, 4, 5))
-        out = dropout(x, 0.5, DropoutMode.OFF, 99)
-        np.testing.assert_array_equal(out.data, x.data)
+        assert dropout(x, 0.5, None) is x
 
     def test_inverted_scaling_mean(self):
         x = Tensor(np.ones(100_000))
-        out = dropout(x, 0.5, DropoutMode.TRAIN, 42)
+        out = dropout(x, 0.5, np.random.default_rng(42))
         assert 0.98 <= out.data.mean() <= 1.02
 
     def test_seed_reproducible(self):
         x = Tensor(np.ones(1000))
-        a = dropout(x, 0.3, DropoutMode.MC_ACTIVE, 7)
-        b = dropout(x, 0.3, DropoutMode.MC_ACTIVE, 7)
+        a = dropout(x, 0.3, np.random.default_rng(7))
+        b = dropout(x, 0.3, np.random.default_rng(7))
         np.testing.assert_array_equal(a.data, b.data)
-        c = dropout(x, 0.3, DropoutMode.MC_ACTIVE, 8)
+        c = dropout(x, 0.3, np.random.default_rng(8))
         assert not np.array_equal(a.data, c.data)
-
-    def test_train_and_mc_modes_sample_identically(self):
-        x = Tensor(np.ones(512))
-        a = dropout(x, 0.4, DropoutMode.TRAIN, 9)
-        b = dropout(x, 0.4, DropoutMode.MC_ACTIVE, 9)
-        np.testing.assert_array_equal(a.data, b.data)
 
     def test_mc_active_is_an_alias_of_train(self):
         assert DropoutMode.MC_ACTIVE is DropoutMode.TRAIN
         assert list(DropoutMode) == [DropoutMode.TRAIN, DropoutMode.OFF]
 
-    def test_missing_rng_rejected_when_sampling(self):
-        x = Tensor(np.ones(8))
-        with pytest.raises(ValueError, match="seed or Generator"):
-            dropout(x, 0.5, DropoutMode.TRAIN, None)
-
     def test_backward_uses_same_mask(self):
         x = Tensor(np.ones(1000, dtype=np.float64), requires_grad=True)
-        out = dropout(x, 0.4, DropoutMode.TRAIN, 3)
+        out = dropout(x, 0.4, np.random.default_rng(3))
         backward(out.sum())
         np.testing.assert_array_equal(x.grad, out.data)
 
@@ -396,7 +383,7 @@ class TestDropout:
         rate = 0.3
         x = randt(np.random.default_rng(4), shape, requires_grad=True)
         gen, ref = derive_rng(5, 1), derive_rng(5, 1)
-        out = dropout(x, rate, DropoutMode.TRAIN, gen)
+        out = dropout(x, rate, gen)
         mask = (ref.random(shape) >= rate).astype(x.dtype) / np.asarray(1.0 - rate, dtype=x.dtype)
         np.testing.assert_array_equal(out.data, x.data * mask)
         assert gen.bit_generator.state == ref.bit_generator.state
@@ -405,10 +392,11 @@ class TestDropout:
 
     def test_invalid_rate(self):
         x = Tensor(np.ones(4))
-        with pytest.raises(ValueError):
-            dropout(x, 1.0, DropoutMode.TRAIN, 0)
-        with pytest.raises(ValueError):
-            dropout(x, -0.1, DropoutMode.TRAIN, 0)
+        for rng in (None, np.random.default_rng(0)):
+            with pytest.raises(ValueError):
+                dropout(x, 1.0, rng)
+            with pytest.raises(ValueError):
+                dropout(x, -0.1, rng)
 
 
 class TestActivations:

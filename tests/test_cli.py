@@ -1,5 +1,8 @@
 """End-to-end CLI tests: every subcommand on a small phantom dataset."""
 
+import json
+import shutil
+
 import numpy as np
 import pytest
 
@@ -85,8 +88,6 @@ class TestTrainCommand:
                    "--epochs", "1", "--patience", "1", "--widths", "4,4,4,4",
                    "--no-prior", "--no-msff", "--no-aam", "--no-mc"])
         assert rc == 0
-        import json
-
         config = json.loads((out / "config.json").read_text())
         assert config["net"]["in_channels"] == 4
         assert config["net"]["use_msff"] is False and config["net"]["use_aam"] is False
@@ -154,11 +155,51 @@ class TestInferCommand:
         assert mean.shape == (3, 16, 16, 8)
 
     def test_infer_reuses_training_prior_delta(self, trained, dataset):
-        import json
-
         config = json.loads((trained / "config.json").read_text())
         assert config["prior"] is not None
         assert 0 < config["prior"]["delta"] < 35.0  # derived from phantom labels
+
+
+class TestOlderRunDirectory:
+    # "net" settings that older config.json files hold, at the one value each may have
+    RETIRED = {"out_channels": 3, "ca_reduction": 2, "spatial_attention_voxel_cap": 32768,
+               "aam_before_merge": False}
+
+    def _older_run(self, trained, tmp_path, **values):
+        run = tmp_path / "older_run"
+        shutil.copytree(trained, run)
+        config = json.loads((run / "config.json").read_text())
+        config["net"].update({**self.RETIRED, **values})
+        assert len(config["net"]) == 13
+        (run / "config.json").write_text(json.dumps(config, indent=2) + "\n")
+        return run
+
+    def _infer(self, run, dataset, out):
+        return main(["--seed", "5", "infer", "--checkpoint", str(run / "checkpoint.sgcp"),
+                     "--img", str(dataset / "case_001_img.sg3d"), "--out", str(out), "--passes", "3"])
+
+    def test_new_config_omits_retired_settings(self, trained):
+        net = json.loads((trained / "config.json").read_text())["net"]
+        assert not set(self.RETIRED) & set(net)
+
+    def test_older_config_infers_the_same_bytes(self, trained, dataset, tmp_path):
+        older = self._older_run(trained, tmp_path)
+        assert self._infer(trained, dataset, tmp_path / "new") == 0
+        assert self._infer(older, dataset, tmp_path / "old") == 0
+        names = sorted(p.name for p in (tmp_path / "new").iterdir() if p.name != "run_manifest.txt")
+        assert "mean.sg3d" in names and "masks.sg3d" in names
+        for name in names:
+            assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
+
+    @pytest.mark.parametrize("key, value", [("aam_before_merge", True), ("out_channels", 4),
+                                            ("ca_reduction", 4), ("spatial_attention_voxel_cap", 7)])
+    def test_other_retired_value_is_runtime_error_without_output(self, trained, dataset, tmp_path,
+                                                                  capsys, key, value):
+        older = self._older_run(trained, tmp_path, **{key: value})
+        out = tmp_path / "pred"
+        assert self._infer(older, dataset, out) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvalCommand:
@@ -265,6 +306,15 @@ class TestExitCodes:
         assert "error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_diverged_training_leaves_no_output(self, dataset, tmp_path, capsys):
+        out = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["train", "--data", str(dataset), "--out", str(out), "--epochs", "3",
+                       "--patience", "3", "--widths", "4,4,4,4", "--lr", "1e8"])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_seed_respected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEED", "42")
         out = tmp_path / "d"
@@ -283,6 +333,15 @@ class TestExitCodes:
         pytest.param("train --data {data} --out {out} --seed -1", None, id="train-seed"),
         pytest.param("train --data {data} --out {out} --widths 4,4,6,4", None, id="train-widths"),
         pytest.param("infer --checkpoint {ckpt} --img {img} --out {out} --passes 0", None, id="infer-passes"),
+        pytest.param("phantom --cases 1 --dims 16x16x8 --noise -3 --out {out}", None, id="phantom-noise-neg"),
+        pytest.param("phantom --cases 1 --dims 16x16x8 --noise nan --out {out}", None, id="phantom-noise-nan"),
+        pytest.param("prior --img {img} --out {out} --delta nan", None, id="prior-delta-nan"),
+        pytest.param("prior --img {img} --out {out} --delta 0", None, id="prior-delta-zero"),
+        pytest.param("train --data {data} --out {out} --epochs 1 --dropout 1.5", None, id="train-dropout"),
+        pytest.param("train --data {data} --out {out} --epochs 1 --lr nan", None, id="train-lr-nan"),
+        pytest.param("train --data {data} --out {out} --epochs 1 --lr-min -1", None, id="train-lr-min"),
+        pytest.param("train --data {data} --out {out} --epochs 1 --weight-decay -5", None, id="train-weight-decay"),
+        pytest.param("train --data {data} --out {out} --epochs 1 --weight-decay inf", None, id="train-weight-decay-inf"),
     ])
     def test_out_of_range_is_usage_error_without_output(self, dataset, trained, tmp_path, monkeypatch,
                                                         capsys, argv, env_seed):

@@ -9,6 +9,7 @@ from voxseg import network
 from voxseg.autodiff import DropoutMode, Tensor, grad_check, no_grad
 from voxseg.checkpoint import CheckpointError, load_checkpoint, read_manifest, save_checkpoint
 from voxseg.losses import combined_loss
+from voxseg.metrics import REGIONS
 from voxseg.network import (
     AdaptiveAttention,
     ChannelAttention,
@@ -25,7 +26,7 @@ OFF = DropoutMode.OFF
 
 
 def small_cfg(**overrides) -> NetworkConfig:
-    base = dict(in_channels=5, stage_widths=(4, 8, 16, 32), gn_groups=2, ca_reduction=2)
+    base = dict(in_channels=5, stage_widths=(4, 8, 16, 32), gn_groups=2)
     base.update(overrides)
     return NetworkConfig(**base)
 
@@ -37,7 +38,7 @@ def f64(module):
 class TestChannelAttention:
     def test_zero_expand_halves_input(self):
         rng = np.random.default_rng(0)
-        ca = ChannelAttention(4, 2, rng)
+        ca = ChannelAttention(4, rng)
         ca.expand.weight.data[:] = 0.0
         ca.expand.bias.data[:] = 0.0
         x = Tensor(rng.standard_normal((1, 4, 2, 2, 2)).astype(np.float32))
@@ -46,7 +47,7 @@ class TestChannelAttention:
 
     def test_gate_in_unit_interval(self):
         rng = np.random.default_rng(1)
-        ca = ChannelAttention(4, 2, rng)
+        ca = ChannelAttention(4, rng)
         x = Tensor(rng.standard_normal((2, 4, 3, 3, 3)).astype(np.float32))
         out = ca.forward(x)
         ratio = out.data / np.where(x.data == 0, 1.0, x.data)
@@ -54,7 +55,7 @@ class TestChannelAttention:
 
     def test_gradcheck(self):
         rng = np.random.default_rng(2)
-        ca = f64(ChannelAttention(4, 2, rng))
+        ca = f64(ChannelAttention(4, rng))
         x = Tensor(rng.standard_normal((1, 4, 2, 2, 2)), requires_grad=True)
 
         def f():
@@ -67,27 +68,27 @@ class TestChannelAttention:
 class TestFeatureCalibration:
     def test_negative_constant_yields_beta_without_ca(self):
         rng = np.random.default_rng(3)
-        fcm = FeatureCalibration(4, 2, 0.2, 2, rng, use_ca=False)
+        fcm = FeatureCalibration(4, 2, 0.2, rng, use_ca=False)
         fcm.norm.beta.data[:] = [1.0, 2.0, 3.0, 4.0]
         x = Tensor(np.full((1, 4, 2, 2, 2), -5.0, dtype=np.float32))
-        out = fcm.forward(x, OFF, None)
+        out = fcm.forward(x, None)
         want = np.broadcast_to(np.array([1, 2, 3, 4], dtype=np.float32).reshape(1, 4, 1, 1, 1), out.shape)
         np.testing.assert_allclose(out.data, want, atol=1e-6)
 
     def test_negative_constant_with_zero_beta_is_zero(self):
         rng = np.random.default_rng(4)
-        fcm = FeatureCalibration(4, 2, 0.2, 2, rng)
+        fcm = FeatureCalibration(4, 2, 0.2, rng)
         x = Tensor(np.full((1, 4, 2, 2, 2), -3.0, dtype=np.float32))
-        out = fcm.forward(x, OFF, None)
+        out = fcm.forward(x, None)
         np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
 
     def test_gradcheck(self):
         rng = np.random.default_rng(5)
-        fcm = f64(FeatureCalibration(4, 2, 0.2, 2, rng))
+        fcm = f64(FeatureCalibration(4, 2, 0.2, rng))
         x = Tensor(rng.standard_normal((1, 4, 2, 2, 2)), requires_grad=True)
 
         def f():
-            y = fcm.forward(x, OFF, None)
+            y = fcm.forward(x, None)
             return (y * y).sum()
 
         assert grad_check(f, [x] + fcm.parameters(), max_coords=400) < 1e-5
@@ -104,7 +105,7 @@ class TestMultiScaleFusion:
         block.calib_local.norm.gamma.data[:] = 1.0
         block.calib_dilated.norm.gamma.data[:] = 1.0
         x = Tensor(np.random.default_rng(0).standard_normal((1, 5, 4, 4, 4)).astype(np.float32))
-        out = block.forward(x, OFF, None)
+        out = block.forward(x, None)
         assert out.shape == (1, 8, 4, 4, 4)
         np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
 
@@ -112,7 +113,7 @@ class TestMultiScaleFusion:
         rng = np.random.default_rng(7)
         block = MultiScaleFusion(5, 8, small_cfg(), rng)
         x = Tensor(rng.standard_normal((1, 5, 8, 8, 4)).astype(np.float32))
-        assert block.forward(x, OFF, None).shape == (1, 8, 8, 8, 4)
+        assert block.forward(x, None).shape == (1, 8, 8, 8, 4)
 
     @pytest.mark.parametrize("kernel,dilation", [(3, 2), (3, 3), (5, 2)])
     def test_dims_preserved_across_kernel_configs(self, kernel, dilation):
@@ -120,7 +121,7 @@ class TestMultiScaleFusion:
         cfg = small_cfg(msff_kernel=kernel, msff_dilation=dilation)
         block = MultiScaleFusion(4, 4, cfg, rng)
         x = Tensor(rng.standard_normal((1, 4, 8, 8, 8)).astype(np.float32))
-        assert block.forward(x, OFF, None).shape == x.shape
+        assert block.forward(x, None).shape == x.shape
 
     def test_gradcheck(self):
         rng = np.random.default_rng(9)
@@ -128,7 +129,7 @@ class TestMultiScaleFusion:
         x = Tensor(rng.standard_normal((1, 2, 3, 3, 3)), requires_grad=True)
 
         def f():
-            y = block.forward(x, OFF, None)
+            y = block.forward(x, None)
             return (y * y).sum()
 
         assert grad_check(f, [x] + block.parameters(), max_coords=150, rng_seed=1) < 1e-5
@@ -140,7 +141,7 @@ class TestAdaptiveAttention:
         for mode in ("channel", "spatial"):
             aam = AdaptiveAttention(4, small_cfg(aam_mode=mode), rng)
             x = Tensor(rng.standard_normal((1, 4, 2, 2, 2)).astype(np.float32))
-            out = aam.forward(x, OFF, None)
+            out = aam.forward(x, None)
             np.testing.assert_array_equal(out.data, x.data)
 
     def test_attention_rows_normalized(self):
@@ -156,12 +157,17 @@ class TestAdaptiveAttention:
         np.testing.assert_allclose(attn.data.sum(axis=2), 1.0, atol=1e-6)
 
     def test_spatial_cap_enforced(self):
-        rng = np.random.default_rng(12)
-        cfg = small_cfg(aam_mode="spatial", spatial_attention_voxel_cap=7)
-        aam = AdaptiveAttention(4, cfg, rng)
-        x = Tensor(rng.standard_normal((1, 4, 2, 2, 2)).astype(np.float32))
-        with pytest.raises(ValueError, match="cap of 7"):
-            aam.forward(x, OFF, None)
+        cap = network.SPATIAL_ATTENTION_VOXEL_CAP
+        aam = AdaptiveAttention(4, small_cfg(aam_mode="spatial"), np.random.default_rng(12))
+        # without projections, only a check made before any projection
+        # can raise the ValueError; at the cap the forward gets past it
+        aam.proj_k = aam.proj_q = aam.proj_v = None
+        with pytest.raises(ValueError, match=f"cap of {cap}"):
+            aam.forward(Tensor(np.zeros((1, 4, 1, 1, cap + 1), dtype=np.float32)), None)
+        with pytest.raises(ValueError, match=f"cap of {cap}"):
+            aam.forward(Tensor(np.zeros((1, 4, 32, 32, 33), dtype=np.float32)), None)
+        with pytest.raises(AttributeError):
+            aam.forward(Tensor(np.zeros((1, 4, 1, 1, cap), dtype=np.float32)), None)
 
     @pytest.mark.parametrize("mode", ["channel", "spatial"])
     def test_gradcheck(self, mode):
@@ -171,7 +177,7 @@ class TestAdaptiveAttention:
         x = Tensor(rng.standard_normal((1, 4, 2, 2, 1)), requires_grad=True)
 
         def f():
-            y = aam.forward(x, OFF, None)
+            y = aam.forward(x, None)
             return (y * y).sum()
 
         assert grad_check(f, [x] + aam.parameters(), max_coords=120, rng_seed=2) < 1e-5
@@ -225,11 +231,35 @@ class TestFullNetwork:
     def test_train_mode_dropout_varies_with_seed(self):
         net = TumorSegNet(small_cfg(), seed=4)
         x = Tensor(np.random.default_rng(5).standard_normal((1, 5, 8, 8, 8)).astype(np.float32))
-        a = net.forward(x, DropoutMode.TRAIN, rng=1)
-        b = net.forward(x, DropoutMode.TRAIN, rng=1)
-        c = net.forward(x, DropoutMode.TRAIN, rng=2)
+        a = net.forward(x, DropoutMode.TRAIN, rng=np.random.default_rng(1))
+        b = net.forward(x, DropoutMode.TRAIN, rng=np.random.default_rng(1))
+        c = net.forward(x, DropoutMode.TRAIN, rng=np.random.default_rng(2))
         np.testing.assert_array_equal(a.data, b.data)
         assert not np.array_equal(a.data, c.data)
+        # an integer seed is a Generator seeded with it
+        np.testing.assert_array_equal(net.forward(x, DropoutMode.TRAIN, rng=1).data, a.data)
+
+    def test_train_and_mc_modes_sample_identically(self):
+        net = TumorSegNet(small_cfg(), seed=4)
+        x = Tensor(np.random.default_rng(5).standard_normal((1, 5, 8, 8, 8)).astype(np.float32))
+        a = net.forward(x, DropoutMode.TRAIN, np.random.default_rng(9))
+        b = net.forward(x, DropoutMode.MC_ACTIVE, np.random.default_rng(9))
+        np.testing.assert_array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_missing_rng_rejected_when_sampling(self, rate):
+        net = TumorSegNet(small_cfg(dropout_rate=rate), seed=4)
+        x = Tensor(np.zeros((1, 5, 8, 8, 8), dtype=np.float32))
+        with pytest.raises(ValueError, match="seed or Generator"):
+            net.forward(x, DropoutMode.TRAIN, None)
+
+    def test_off_mode_ignores_rng(self):
+        net = TumorSegNet(small_cfg(), seed=4)
+        x = Tensor(np.random.default_rng(5).standard_normal((1, 5, 8, 8, 8)).astype(np.float32))
+        gen = np.random.default_rng(3)
+        state = gen.bit_generator.state
+        np.testing.assert_array_equal(net.forward(x, OFF, gen).data, net.forward(x).data)
+        assert gen.bit_generator.state == state
 
     def test_indivisible_spatial_dims_rejected(self):
         net = TumorSegNet(small_cfg(), seed=6)
@@ -245,7 +275,7 @@ class TestFullNetwork:
 
     def test_end_to_end_gradcheck_with_loss(self):
         cfg = NetworkConfig(in_channels=2, stage_widths=(4, 4, 4, 4), gn_groups=2,
-                            ca_reduction=2, dropout_rate=0.0)
+                            dropout_rate=0.0)
         net = f64(TumorSegNet(cfg, seed=8))
         rng = np.random.default_rng(9)
         # move off the zero-initialized point so no ReLU sits on its kink
@@ -260,26 +290,10 @@ class TestFullNetwork:
         leaves = [x] + net.parameters()
         assert grad_check(f, leaves, max_coords=8, rng_seed=3) < 1e-5
 
-    def test_attention_before_merge_variant(self):
-        cfg_after = small_cfg()
-        cfg_before = small_cfg(aam_before_merge=True)
-        net_after = TumorSegNet(cfg_after, seed=3)
-        net_before = TumorSegNet(cfg_before, seed=3)
-        # before-merge attention operates at the upsampled width, not 2x
-        assert count_params(net_before) < count_params(net_after)
-        x = Tensor(np.random.default_rng(4).standard_normal((1, 5, 8, 8, 8)).astype(np.float32))
-        out = net_before.forward(x, OFF)
-        assert out.shape == (1, 3, 8, 8, 8)
-        assert np.all((out.data > 0) & (out.data < 1))
-
     def test_spatial_attention_mode_forward(self):
-        cfg = small_cfg(aam_mode="spatial", spatial_attention_voxel_cap=4096)
-        net = TumorSegNet(cfg, seed=5)
+        net = TumorSegNet(small_cfg(aam_mode="spatial"), seed=5)
         x = Tensor(np.random.default_rng(6).standard_normal((1, 5, 8, 8, 8)).astype(np.float32))
         assert net.forward(x, OFF).shape == (1, 3, 8, 8, 8)
-        big = Tensor(np.zeros((1, 5, 32, 32, 16), dtype=np.float32))
-        with pytest.raises(ValueError, match="cap"):
-            net.forward(big, OFF)
 
     def test_baseline_flops_positive_and_smaller(self):
         full = TumorSegNet(small_cfg(), seed=0)
@@ -301,6 +315,24 @@ class TestFullNetwork:
             return combined_loss(net.forward(x, OFF), target)
 
         assert grad_check(f, x, max_coords=6, rng_seed=4) < 1e-5
+
+
+class TestNetworkConfig:
+    def test_out_channels_is_one_per_region(self):
+        assert "out_channels" not in vars(NetworkConfig())
+        assert NetworkConfig().out_channels == len(REGIONS)
+        assert TumorSegNet(small_cfg(), seed=0).head.weight.shape[0] == len(REGIONS)
+
+    @pytest.mark.parametrize("name", ["out_channels", "ca_reduction",
+                                      "spatial_attention_voxel_cap", "aam_before_merge"])
+    def test_retired_settings_are_not_fields(self, name):
+        with pytest.raises(TypeError, match=name):
+            NetworkConfig(**{name: getattr(NetworkConfig, name, None)})
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.0, 1.5, float("nan")])
+    def test_dropout_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match="dropout_rate"):
+            NetworkConfig(dropout_rate=rate)
 
 
 class TestAblationManifest:

@@ -55,6 +55,12 @@ class TestGenPhantom:
         with pytest.raises(ValueError, match="minimum"):
             PhantomSpec(dims=(8, 16, 16))
 
+    @pytest.mark.parametrize("sigma", [-3.0, float("nan"), float("inf")])
+    def test_noise_validation(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            PhantomSpec(noise_sigma=sigma)
+        assert PhantomSpec(noise_sigma=0.0).noise_sigma == 0.0
+
     @pytest.mark.parametrize("n_cases", [0, -1])
     def test_case_count_validation(self, n_cases):
         with pytest.raises(ValueError, match="n_cases"):

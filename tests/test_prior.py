@@ -355,8 +355,9 @@ class TestGeneratePrior:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PriorConfig(n_seeds=0)
-        with pytest.raises(ValueError):
-            PriorConfig(delta=0.0)
+        for delta in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="delta"):
+                PriorConfig(delta=delta)
         with pytest.raises(ValueError):
             PriorConfig(histogram_bins=1)
         with pytest.raises(ValueError):

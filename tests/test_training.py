@@ -28,7 +28,7 @@ from voxseg.training import (
 
 
 def tiny_net_config(**overrides):
-    base = dict(in_channels=5, stage_widths=(4, 4, 4, 4), gn_groups=2, ca_reduction=2)
+    base = dict(in_channels=5, stage_widths=(4, 4, 4, 4), gn_groups=2)
     base.update(overrides)
     return NetworkConfig(**base)
 
@@ -206,10 +206,18 @@ class TestTrainConfig:
         ({"max_epochs": 0, "patience": 0}, "max_epochs"),
         ({"cosine_T": 0}, "cosine_T"),
         ({"patience": -3}, "patience"),
+        ({"lr_init": float("nan")}, "lr_init"),
+        ({"lr_init": -1e-4}, "lr_init"),
+        ({"lr_min": float("inf")}, "lr_min"),
+        ({"weight_decay": -5.0}, "weight_decay"),
     ])
     def test_out_of_range_rejected(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**kwargs)
+
+    def test_zero_rates_accepted(self):
+        config = TrainConfig(lr_init=0.0, lr_min=0.0, weight_decay=0.0)
+        assert config.lr_init == config.lr_min == config.weight_decay == 0.0
 
 
 class TestFit:
