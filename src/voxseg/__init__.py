@@ -32,6 +32,6 @@ from .training import (
     fit,
     mc_infer,
 )
-from .volume_io import MultiModalVolume, VolumeHeader, center_crop, export_slice_pgm, read_volume, write_volume
+from .volume_io import MultiModalVolume, VolumeHeader, export_slice_pgm, read_volume, write_volume
 
 __version__ = "0.1.0"

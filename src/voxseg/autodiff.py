@@ -106,10 +106,8 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _as_float_array(data, dtype=None) -> np.ndarray:
+def _as_float_array(data) -> np.ndarray:
     arr = np.asarray(data)
-    if dtype is not None:
-        return np.ascontiguousarray(arr, dtype=dtype)
     if arr.dtype in _FLOAT_DTYPES:
         return np.ascontiguousarray(arr)
     return np.ascontiguousarray(arr, dtype=np.float32)
@@ -125,8 +123,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_rule")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = _as_float_array(data, dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = _as_float_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -191,8 +189,8 @@ class Tensor:
     def sum(self, axis=None):
         return tsum(self, axis)
 
-    def mean(self, axis=None):
-        return tmean(self, axis)
+    def mean(self):
+        return tmean(self)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -314,16 +312,8 @@ def tsum(x: Tensor, axis=None) -> Tensor:
     return _make(data, (x,), rule, "sum")
 
 
-def tmean(x: Tensor, axis=None) -> Tensor:
-    if axis is None:
-        count = x.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= x.shape[ax % x.ndim]
-    s = tsum(x, axis)
-    return mul(s, Tensor(np.asarray(1.0 / count, dtype=x.dtype)))
+def tmean(x: Tensor) -> Tensor:
+    return mul(tsum(x), Tensor(np.asarray(1.0 / x.size, dtype=x.dtype)))
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -434,24 +424,23 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
 _SLAB_BYTES = 4 << 20
 
 
-def _im2col(xp: np.ndarray, k: int, dilation: int, out_sp: tuple[int, int, int]) -> np.ndarray:
+def _im2col(xp: np.ndarray, k: int, dilation: int) -> np.ndarray:
     """Materialize sliding k*k*k patches of a padded (B,C,*,*,*) volume.
 
-    Returns (B, C*k^3, Do*Ho*Wo): k^3 copies of the input's C channels, one
-    per kernel offset, each sampled on the output grid, i.e. B*C*k^3*Do*Ho*Wo
-    elements (226 MB for 16 float32 channels, k=3, at 64x64x32).
+    Returns (B, C*k^3, Do*Ho*Wo) for the Do*Ho*Wo windows that fit in `xp`:
+    k^3 copies of the input's C channels, one per kernel offset, i.e.
+    B*C*k^3*Do*Ho*Wo elements (226 MB for 16 float32 channels, k=3, at
+    64x64x32).
     """
     B, C = xp.shape[:2]
-    Do, Ho, Wo = out_sp
     span = dilation * (k - 1) + 1
     windows = np.lib.stride_tricks.sliding_window_view(xp, (span,) * 3, axis=(2, 3, 4))
     view = windows[:, :, :, :, :, ::dilation, ::dilation, ::dilation]
-    # the reshape fails unless `xp` holds exactly the out_sp windows
-    return np.ascontiguousarray(view.transpose(0, 1, 5, 6, 7, 2, 3, 4)).reshape(B, C * k ** 3, Do * Ho * Wo)
+    return np.ascontiguousarray(view.transpose(0, 1, 5, 6, 7, 2, 3, 4)).reshape(B, C * k ** 3, -1)
 
 
-def _conv3d_raw(x: np.ndarray, w: np.ndarray, padding: int, dilation: int):
-    """Forward cross-correlation on raw arrays; returns (out, padded_x).
+def _conv3d_raw(x: np.ndarray, w: np.ndarray, dilation: int):
+    """Same-padded cross-correlation on raw arrays; returns (out, padded_x).
 
     For k > 1 the output is computed in depth slabs: each slab takes its
     input rows plus the dilation*(k-1) halo, builds their patch matrix and
@@ -467,41 +456,32 @@ def _conv3d_raw(x: np.ndarray, w: np.ndarray, padding: int, dilation: int):
     """
     B, Cin, D, H, W = x.shape
     Cout, _, k, _, _ = w.shape
-    if padding:
-        xp = np.pad(x, ((0, 0), (0, 0)) + ((padding, padding),) * 3)
+    halo = dilation * (k - 1)
+    pad = halo // 2
+    if pad:
+        xp = np.pad(x, ((0, 0), (0, 0)) + ((pad, pad),) * 3)
     else:
         xp = x
-    halo = dilation * (k - 1)
-    out_sp = tuple(n + 2 * padding - halo for n in (D, H, W))
-    if min(out_sp) < 1:
-        raise ValueError(f"kernel {k} (dilation {dilation}) larger than padded input {(D, H, W)} + 2*{padding}")
     if k == 1:
         out = np.matmul(w.reshape(Cout, Cin), xp.reshape(B, Cin, -1))
     else:
-        Do, Ho, Wo = out_sp
         wm = w.reshape(Cout, -1)
-        out = np.empty((B, Cout, Do, Ho * Wo), dtype=x.dtype)
-        rows = max(1, _SLAB_BYTES // (Cin * k ** 3 * Ho * Wo * x.itemsize))
-        for d0 in range(0, Do, rows):
-            n = min(rows, Do - d0)
-            col = _im2col(xp[:, :, d0 : d0 + n + halo], k, dilation, (n, Ho, Wo))
-            out[:, :, d0 : d0 + n] = np.matmul(wm, col).reshape(B, Cout, n, Ho * Wo)
-    return out.reshape(B, Cout, *out_sp), xp
+        out = np.empty((B, Cout, D, H * W), dtype=x.dtype)
+        rows = max(1, _SLAB_BYTES // (Cin * k ** 3 * H * W * x.itemsize))
+        for d0 in range(0, D, rows):
+            n = min(rows, D - d0)
+            col = _im2col(xp[:, :, d0 : d0 + n + halo], k, dilation)
+            out[:, :, d0 : d0 + n] = np.matmul(wm, col).reshape(B, Cout, n, H * W)
+    return out.reshape(B, Cout, D, H, W), xp
 
 
-def conv3d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None = None,
-    padding: int = 0,
-    dilation: int = 1,
-) -> Tensor:
-    """3D stride-1 cross-correlation with zero padding and dilation.
+def conv3d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1) -> Tensor:
+    """3D same-padded stride-1 cross-correlation with dilation.
 
     `x` is (B, Cin, D, H, W), `weight` is (Cout, Cin, k, k, k) with
-    k in {1, 3, 5, 7}. Output extent per axis is
-    n + 2*padding - dilation*(k-1); the network downsamples with
-    `maxpool3d`, never with a strided convolution.
+    k in {1, 3, 5, 7}, `bias` is (Cout,). Each side is zero-padded by
+    dilation*(k-1)/2, so the output has the input's spatial extents; the
+    network downsamples with `maxpool3d`, never with a strided convolution.
     Gradients are recorded for x, weight and bias.
     """
     if x.ndim != 5 or weight.ndim != 5:
@@ -513,41 +493,29 @@ def conv3d(
         raise ValueError(f"kernel size {k} not in (1, 3, 5, 7)")
     if x.shape[1] != Cin:
         raise ValueError(f"input channels {x.shape[1]} != weight channels {Cin}")
-    if bias is not None and bias.shape != (Cout,):
+    if bias.shape != (Cout,):
         raise ValueError(f"bias shape {bias.shape} != ({Cout},)")
-    _check_same_dtype(*([x, weight] + ([bias] if bias is not None else [])))
+    _check_same_dtype(x, weight, bias)
 
-    out_data, xp = _conv3d_raw(x.data, weight.data, padding, dilation)
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(1, Cout, 1, 1, 1)
-
+    out_data, xp = _conv3d_raw(x.data, weight.data, dilation)
+    out_data = out_data + bias.data.reshape(1, Cout, 1, 1, 1)
     B = x.shape[0]
-    out_sp = out_data.shape[2:]
 
     def rule(g):
         gm = g.reshape(B, Cout, -1)
         # weight gradient: one GEMM against the recomputed patch matrix
-        col = xp.reshape(B, Cin, -1) if k == 1 else _im2col(xp, k, dilation, out_sp)
+        col = xp.reshape(B, Cin, -1) if k == 1 else _im2col(xp, k, dilation)
         gw = np.matmul(gm, col.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
-
-        # input gradient: a dilated correlation of g with the spatially
-        # flipped, channel-swapped kernel; padding beyond the kernel's reach
-        # makes its padding negative, i.e. crops g by the excess
-        back_pad = dilation * (k - 1) - padding
-        if back_pad < 0:
-            g = g[:, :, -back_pad:back_pad, -back_pad:back_pad, -back_pad:back_pad]
+        # input gradient: the same-padded dilated correlation of g with the
+        # spatially flipped, channel-swapped kernel
         wf = np.ascontiguousarray(weight.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
-        gx, _ = _conv3d_raw(g, wf, max(back_pad, 0), dilation)
-        pairs = [(x, gx), (weight, gw)]
-        if bias is not None:
-            pairs.append((bias, gm.sum(axis=(0, 2))))
-        return pairs
+        gx, _ = _conv3d_raw(g, wf, dilation)
+        return [(x, gx), (weight, gw), (bias, gm.sum(axis=(0, 2)))]
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out_data, parents, rule, "conv3d")
+    return _make(out_data, (x, weight, bias), rule, "conv3d")
 
 
-def conv_transpose3d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def conv_transpose3d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Stride-2 transposed convolution with a 2x2x2 kernel, no padding.
 
     Each spatial extent exactly doubles; the output tiles do not overlap,
@@ -562,7 +530,7 @@ def conv_transpose3d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> T
     if Cin != weight.shape[0]:
         raise ValueError(f"input channels {Cin} != weight channels {weight.shape[0]}")
     Cout = weight.shape[1]
-    _check_same_dtype(*([x, weight] + ([bias] if bias is not None else [])))
+    _check_same_dtype(x, weight, bias)
 
     xm = x.data.reshape(B, Cin, -1)
     out = np.empty((B, Cout, 2 * D, 2 * H, 2 * W), dtype=x.dtype)
@@ -571,8 +539,7 @@ def conv_transpose3d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> T
             for l in range(2):
                 piece = np.matmul(weight.data[:, :, i, j, l].T, xm).reshape(B, Cout, D, H, W)
                 out[:, :, i::2, j::2, l::2] = piece
-    if bias is not None:
-        out += bias.data.reshape(1, Cout, 1, 1, 1)
+    out += bias.data.reshape(1, Cout, 1, 1, 1)
 
     def rule(g):
         gx = np.zeros_like(x.data)
@@ -583,13 +550,9 @@ def conv_transpose3d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> T
                     gs = np.ascontiguousarray(g[:, :, i::2, j::2, l::2]).reshape(B, Cout, -1)
                     gx += np.matmul(weight.data[:, :, i, j, l], gs).reshape(x.shape)
                     gw[:, :, i, j, l] = np.matmul(xm, gs.transpose(0, 2, 1)).sum(axis=0)
-        pairs = [(x, gx), (weight, gw)]
-        if bias is not None:
-            pairs.append((bias, g.sum(axis=(0, 2, 3, 4))))
-        return pairs
+        return [(x, gx), (weight, gw), (bias, g.sum(axis=(0, 2, 3, 4)))]
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out, parents, rule, "conv_transpose3d")
+    return _make(out, (x, weight, bias), rule, "conv_transpose3d")
 
 
 def maxpool3d(x: Tensor) -> Tensor:

@@ -15,6 +15,7 @@ the file.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -86,12 +87,12 @@ def read_manifest(path) -> list[tuple[str, tuple[int, ...]]]:
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     raw = Path(path).read_bytes()
     entries, offset = _parse_manifest(raw)
-    expected = offset + sum(4 * int(np.prod(shape)) for _, shape in entries)
+    expected = offset + sum(4 * math.prod(shape) for _, shape in entries)
     if len(raw) != expected:
         raise CheckpointError(f"payload is {len(raw) - offset} bytes, manifest promises {expected - offset}")
     state: dict[str, np.ndarray] = {}
     for name, shape in entries:
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         arr = np.frombuffer(raw, dtype="<f4", count=n, offset=offset).reshape(shape)
         offset += 4 * n
         state[name] = arr.copy()

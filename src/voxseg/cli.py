@@ -65,6 +65,15 @@ def _int_at_least(lo: int):
 _seed = _int_at_least(0)
 
 
+def _positive_float(text: str) -> float:
+    try:
+        if math.isfinite(float(text)) and float(text) > 0:
+            return float(text)
+    except ValueError:
+        pass
+    raise UsageError(f"expected a finite number > 0, got {text!r}")
+
+
 def _config(cls, **kwargs):
     """`cls(**kwargs)`, with the config's own range checks as usage errors."""
     try:
@@ -141,7 +150,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gradcheck", help="run the float64 gradient-check suite")
     _add_global_flags(p, suppress=True)
     p.add_argument("--out", default=".")
-    p.add_argument("--tolerance", type=float, default=1e-5)
+    p.add_argument("--tolerance", type=_positive_float, default=1e-5)
 
     p = sub.add_parser("stats", help="tumor-intensity standard deviations over a labeled dataset")
     _add_global_flags(p, suppress=True)
@@ -246,7 +255,7 @@ def _cmd_train(args) -> int:
     config = _config(
         TrainConfig, lr_init=args.lr, lr_min=args.lr_min, weight_decay=args.weight_decay,
         cosine_T=args.cosine_t, cosine_restarts=args.cosine_restarts,
-        max_epochs=args.epochs, patience=min(args.patience, args.epochs),
+        max_epochs=args.epochs, patience=args.patience,
         seed=args.seed, use_prior=not args.no_prior, use_mc=not args.no_mc,
     )
     net_config = _config(

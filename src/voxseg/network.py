@@ -155,12 +155,11 @@ class Conv3d(Module):
                  dilation: int = 1):
         self.kernel = kernel
         self.dilation = dilation
-        self.padding = dilation * (kernel - 1) // 2
         self.weight = _he_weight(rng, (cout, cin, kernel, kernel, kernel), cin * kernel ** 3)
         self.bias = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv3d(x, self.weight, self.bias, padding=self.padding, dilation=self.dilation)
+        return conv3d(x, self.weight, self.bias, dilation=self.dilation)
 
     def flops(self, n_out: int) -> int:
         cout, cin, k = self.weight.shape[0], self.weight.shape[1], self.kernel

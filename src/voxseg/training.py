@@ -76,8 +76,8 @@ class TrainConfig:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.cosine_T < 1:
             raise ValueError(f"cosine_T must be >= 1, got {self.cosine_T}")
-        if not 0 <= self.patience <= self.max_epochs:
-            raise ValueError(f"patience {self.patience} not in [0, max_epochs={self.max_epochs}]")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
         for name in ("lr_init", "lr_min", "weight_decay"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -274,12 +274,9 @@ def fit(train_volumes, val_volumes, net_config: NetworkConfig | None,
                 raise TrainingDivergedError(
                     f"non-finite values at epoch {epoch}, case {case_idx}: {exc}"
                 ) from exc
-            loss_val = loss.item()
-            if not math.isfinite(loss_val):
-                raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}, case {case_idx}")
             backward(loss)
             optimizer.step(lr)
-            train_losses.append(loss_val)
+            train_losses.append(loss.item())
 
         val_losses = []
         with no_grad():

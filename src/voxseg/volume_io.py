@@ -1,4 +1,4 @@
-"""Bit-exact binary volume format, multi-modal container, crop, PGM export.
+"""Bit-exact binary volume format, multi-modal container, PGM export.
 
 The SG3D file layout is a 28-byte little-endian header followed by the
 raw voxel payload with no padding:
@@ -32,8 +32,6 @@ __all__ = [
     "LABEL_CODES",
     "read_volume",
     "write_volume",
-    "center_crop",
-    "crop_volume",
     "export_slice_pgm",
 ]
 
@@ -153,25 +151,6 @@ def read_volume(path) -> tuple[VolumeHeader, np.ndarray]:
     if grids.nbytes != header.payload_bytes:
         raise VolumeFormatError(f"payload is {grids.nbytes} bytes, header promises {header.payload_bytes}")
     return header, grids.reshape(channels, d, h, w)
-
-
-def _crop_slices(src: tuple[int, int, int], target: tuple[int, int, int]) -> tuple[slice, ...]:
-    for s, t in zip(src, target):
-        if t > s:
-            raise ValueError(f"crop target {target} exceeds source {src}")
-    return tuple(slice((s - t) // 2, (s - t) // 2 + t) for s, t in zip(src, target))
-
-
-def center_crop(grid: np.ndarray, target: tuple[int, int, int]) -> np.ndarray:
-    """Center crop of the trailing three axes; start index floor((src-target)/2)."""
-    sl = _crop_slices(tuple(grid.shape[-3:]), tuple(target))
-    return grid[(...,) + sl]
-
-
-def crop_volume(volume: MultiModalVolume, target: tuple[int, int, int]) -> MultiModalVolume:
-    """Center-crop every modality and the labels with the same window."""
-    labels = None if volume.labels is None else center_crop(volume.labels, target)
-    return MultiModalVolume(center_crop(volume.modalities, target), labels)
 
 
 def export_slice_pgm(grid: np.ndarray, axis: str, index: int, value_range: tuple[float, float], path) -> None:

@@ -51,27 +51,27 @@ class TestConv3d:
     def test_all_ones_3cube(self):
         x = Tensor(np.ones((1, 1, 3, 3, 3)))
         w = Tensor(np.ones((1, 1, 3, 3, 3)))
-        out = conv3d(x, w, Tensor(np.zeros(1)), padding=1)
+        out = conv3d(x, w, Tensor(np.zeros(1)))
         assert out.data[0, 0, 1, 1, 1] == 27.0
         assert out.data[0, 0, 0, 0, 0] == 8.0
 
     def test_all_ones_dilated(self):
         x = Tensor(np.ones((1, 1, 5, 5, 5)))
         w = Tensor(np.ones((1, 1, 3, 3, 3)))
-        out = conv3d(x, w, Tensor(np.zeros(1)), padding=2, dilation=2)
+        out = conv3d(x, w, Tensor(np.zeros(1)), dilation=2)
         assert out.shape == (1, 1, 5, 5, 5)
         assert out.data[0, 0, 2, 2, 2] == 27.0
         assert out.data[0, 0, 0, 0, 0] == 8.0
 
-    # ids read stride-padding-dilation; conv3d is stride 1
-    @pytest.mark.parametrize("padding,dilation", [(1, 1), (2, 2), (0, 1)], ids=["1-1-1", "1-2-2", "1-0-1"])
+    # ids read stride-padding-dilation; conv3d is stride 1 and same-padded
+    @pytest.mark.parametrize("padding,dilation", [(1, 1), (2, 2)], ids=["1-1-1", "1-2-2"])
     def test_matches_loop_oracle(self, padding, dilation):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((2, 3, 5, 6, 4))
         w = rng.standard_normal((4, 3, 3, 3, 3))
         b = rng.standard_normal(4)
         want = conv3d_loops(x, w, b, padding=padding, dilation=dilation)
-        got = conv3d(Tensor(x), Tensor(w), Tensor(b), padding=padding, dilation=dilation)
+        got = conv3d(Tensor(x), Tensor(w), Tensor(b), dilation=dilation)
         np.testing.assert_allclose(got.data, want, rtol=1e-10, atol=1e-10)
 
     @pytest.mark.parametrize("k", [5, 7])
@@ -80,7 +80,7 @@ class TestConv3d:
         x = rng.standard_normal((1, 2, 8, 8, 7))
         w = rng.standard_normal((2, 2, k, k, k))
         want = conv3d_loops(x, w, padding=(k - 1) // 2)
-        got = conv3d(Tensor(x), Tensor(w), padding=(k - 1) // 2)
+        got = conv3d(Tensor(x), Tensor(w), Tensor(np.zeros(2)))
         np.testing.assert_allclose(got.data, want, rtol=1e-10, atol=1e-10)
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
@@ -89,8 +89,27 @@ class TestConv3d:
         rng = np.random.default_rng(1)
         x = randt(rng, (1, 2, 8, 8, 8))
         w = randt(rng, (2, 2, k, k, k))
-        out = conv3d(x, w, padding=dilation * (k - 1) // 2, dilation=dilation)
+        out = conv3d(x, w, Tensor(np.zeros(2)), dilation=dilation)
         assert out.shape == x.shape
+
+    # thin inputs: a large dilated kernel reaches past the whole input
+    @pytest.mark.parametrize("shape", [(1, 2, 1, 3, 2), (1, 2, 5, 3, 7)], ids=["1x3x2", "5x3x7"])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    def test_same_padding_on_thin_inputs(self, shape, k, dilation):
+        rng = np.random.default_rng(9)
+        x = randt(rng, shape, requires_grad=True)
+        w = randt(rng, (3, 2, k, k, k))
+        b = randt(rng, (3,))
+        pad = dilation * (k - 1) // 2
+        y = conv3d(x, w, b, dilation=dilation)
+        assert y.shape[2:] == shape[2:]
+        want = conv3d_loops(x.data, w.data, b.data, padding=pad, dilation=dilation)
+        np.testing.assert_allclose(y.data, want, rtol=1e-10, atol=1e-10)
+        g = rng.standard_normal(y.shape)
+        backward((y * Tensor(g)).sum())
+        want_gx = conv3d_input_grad_loops(g, w.data, x.shape, pad, dilation)
+        np.testing.assert_allclose(x.grad, want_gx, rtol=1e-10, atol=1e-10)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(3)
@@ -99,7 +118,7 @@ class TestConv3d:
         b = randt(rng, (3,), requires_grad=True)
 
         def f():
-            return conv3d(x, w, b, padding=1).sum()
+            return conv3d(x, w, b).sum()
 
         assert grad_check(f, [x, w, b]) < 1e-6
 
@@ -107,45 +126,19 @@ class TestConv3d:
         rng = np.random.default_rng(4)
         x = randt(rng, (1, 2, 6, 6, 5), requires_grad=True)
         w = randt(rng, (2, 2, 3, 3, 3), requires_grad=True)
+        b = Tensor(np.zeros(2))
 
         def f():
-            y = conv3d(x, w, padding=2, dilation=2)
+            y = conv3d(x, w, b, dilation=2)
             return (y * y).sum()
 
         assert grad_check(f, [x, w]) < 1e-6
-
-    @pytest.mark.parametrize("k,padding,dilation", [(3, 5, 2), (1, 1, 1)])
-    def test_padding_beyond_kernel_reach(self, k, padding, dilation):
-        # padding > dilation*(k-1): the input gradient's correlation would
-        # need negative padding, so it crops the output gradient instead
-        rng = np.random.default_rng(5)
-        x = randt(rng, (1, 2, 4, 4, 3), requires_grad=True)
-        w = randt(rng, (3, 2, k, k, k), requires_grad=True)
-        y = conv3d(x, w, padding=padding, dilation=dilation)
-        want = conv3d_loops(x.data, w.data, padding=padding, dilation=dilation)
-        np.testing.assert_allclose(y.data, want, rtol=1e-10, atol=1e-10)
-        g = rng.standard_normal(y.shape)
-        backward((y * Tensor(g)).sum())
-        want_gx = conv3d_input_grad_loops(g, w.data, x.shape, padding, dilation)
-        np.testing.assert_allclose(x.grad, want_gx, rtol=1e-10, atol=1e-10)
-
-        def f():
-            out = conv3d(x, w, padding=padding, dilation=dilation)
-            return (out * out).sum()
-
-        assert grad_check(f, [x, w]) < 1e-5
 
     def test_channel_mismatch_raises(self):
         x = Tensor(np.ones((1, 2, 4, 4, 4)))
         w = Tensor(np.ones((1, 3, 3, 3, 3)))
         with pytest.raises(ValueError, match="channels"):
-            conv3d(x, w, padding=1)
-
-    def test_kernel_larger_than_padded_input_raises(self):
-        x = Tensor(np.ones((1, 1, 2, 2, 2)))
-        w = Tensor(np.ones((1, 1, 5, 5, 5)))
-        with pytest.raises(ValueError, match="larger"):
-            conv3d(x, w)
+            conv3d(x, w, Tensor(np.zeros(1)))
 
 
 class TestConv3dSlabs:
@@ -161,18 +154,19 @@ class TestConv3dSlabs:
     covers odd planes to rounding.
     """
 
-    # (x shape, Cout, k, padding, dilation, output rows per slab, dtype)
+    # (x shape, Cout, k, dilation, output rows per slab, dtype)
     CASES = {
-        "uneven_last_slab": ((1, 3, 7, 4, 8), 4, 3, 1, 1, 3, np.float32),
-        "dilation2": ((1, 4, 8, 8, 4), 3, 3, 2, 2, 3, np.float32),
-        "batch2": ((2, 3, 7, 4, 4), 5, 3, 1, 1, 2, np.float32),
-        "float64": ((1, 3, 7, 4, 8), 4, 3, 1, 1, 2, np.float64),
-        "k5": ((1, 2, 9, 4, 4), 3, 5, 2, 1, 4, np.float32),
+        "uneven_last_slab": ((1, 3, 7, 4, 8), 4, 3, 1, 3, np.float32),
+        "dilation2": ((1, 4, 8, 8, 4), 3, 3, 2, 3, np.float32),
+        "batch2": ((2, 3, 7, 4, 4), 5, 3, 1, 2, np.float32),
+        "float64": ((1, 3, 7, 4, 8), 4, 3, 1, 2, np.float64),
+        "k5": ((1, 2, 9, 4, 4), 3, 5, 1, 4, np.float32),
     }
 
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_bitwise_equal_to_untiled(self, case, monkeypatch):
-        shape, cout, k, padding, dilation, rows, dtype = case
+        shape, cout, k, dilation, rows, dtype = case
+        padding = dilation * (k - 1) // 2
         rng = np.random.default_rng(11)
         x = rng.standard_normal(shape).astype(dtype)
         w = rng.standard_normal((cout, shape[1], k, k, k)).astype(dtype)
@@ -185,7 +179,7 @@ class TestConv3dSlabs:
         monkeypatch.setattr(autodiff, "_im2col", lambda *a: slabs.append(a) or im2col(*a))
 
         xt, wt, bt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True), Tensor(b)
-        out = conv3d(xt, wt, bt, padding=padding, dilation=dilation)
+        out = conv3d(xt, wt, bt, dilation=dilation)
         assert len(slabs) == -(-Do // rows) > 1
         assert out.data.tobytes() == want.tobytes()
 
@@ -195,19 +189,20 @@ class TestConv3dSlabs:
         gw = np.matmul(g.reshape(shape[0], cout, -1), col.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         assert wt.grad.tobytes() == (np.zeros_like(w) + gw).tobytes()
         wf = np.ascontiguousarray(w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
-        gx = conv3d_im2col(g, wf, None, dilation * (k - 1) - padding, dilation)
+        gx = conv3d_im2col(g, wf, None, padding, dilation)
         assert xt.grad.tobytes() == (np.zeros_like(x) + gx).tobytes()
 
-    # ids read stride-padding-dilation; conv3d is stride 1
-    @pytest.mark.parametrize("padding,dilation", [(1, 1), (2, 2)], ids=["1-1-1", "1-2-2"])
-    def test_any_shape_matches_untiled(self, padding, dilation, monkeypatch):
+    # ids read stride-padding-dilation; conv3d is stride 1 and same-padded
+    @pytest.mark.parametrize("dilation", [1, 2], ids=["1-1-1", "1-2-2"])
+    def test_any_shape_matches_untiled(self, dilation, monkeypatch):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((2, 3, 9, 5, 7)).astype(np.float32)
         w = rng.standard_normal((4, 3, 3, 3, 3)).astype(np.float32)
+        b = Tensor(np.zeros(4, dtype=np.float32))
 
         def run():
             xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-            out = conv3d(xt, wt, padding=padding, dilation=dilation)
+            out = conv3d(xt, wt, b, dilation=dilation)
             backward(out.sum())
             return out.data, xt.grad, wt.grad
 
@@ -228,7 +223,7 @@ class TestConvTranspose3d:
     def test_nonoverlapping_tiles(self):
         x = Tensor(np.ones((1, 1, 2, 2, 2)))
         w = Tensor(np.ones((1, 1, 2, 2, 2)))
-        out = conv_transpose3d(x, w)
+        out = conv_transpose3d(x, w, Tensor(np.zeros(1)))
         np.testing.assert_array_equal(out.data, np.ones((1, 1, 4, 4, 4)))
 
     def test_matches_scatter_oracle(self):
@@ -244,7 +239,7 @@ class TestConvTranspose3d:
         rng = np.random.default_rng(6)
         x = randt(rng, (1, 2, 3, 3, 2), requires_grad=True)
         w = randt(rng, (2, 3, 2, 2, 2))
-        out = conv_transpose3d(x, w)
+        out = conv_transpose3d(x, w, Tensor(np.zeros(3)))
         backward(out.sum())
         per_cin = w.data.sum(axis=(1, 2, 3, 4))
         want = np.broadcast_to(per_cin.reshape(1, 2, 1, 1, 1), x.shape)
@@ -266,7 +261,7 @@ class TestConvTranspose3d:
         rng = np.random.default_rng(8)
         x = randt(rng, (1, 2, 4, 6, 2))
         w = randt(rng, (2, 2, 2, 2, 2))
-        up = conv_transpose3d(x, w)
+        up = conv_transpose3d(x, w, Tensor(np.zeros(2)))
         assert up.shape == (1, 2, 8, 12, 4)
         assert maxpool3d(up).shape == x.shape
 

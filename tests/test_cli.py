@@ -342,6 +342,9 @@ class TestExitCodes:
         pytest.param("train --data {data} --out {out} --epochs 1 --lr-min -1", None, id="train-lr-min"),
         pytest.param("train --data {data} --out {out} --epochs 1 --weight-decay -5", None, id="train-weight-decay"),
         pytest.param("train --data {data} --out {out} --epochs 1 --weight-decay inf", None, id="train-weight-decay-inf"),
+        pytest.param("gradcheck --out {out} --tolerance nan", None, id="gradcheck-tolerance-nan"),
+        pytest.param("gradcheck --out {out} --tolerance 0", None, id="gradcheck-tolerance-zero"),
+        pytest.param("gradcheck --out {out} --tolerance -1", None, id="gradcheck-tolerance-neg"),
     ])
     def test_out_of_range_is_usage_error_without_output(self, dataset, trained, tmp_path, monkeypatch,
                                                         capsys, argv, env_seed):

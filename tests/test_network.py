@@ -490,6 +490,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="utf-8"):
             read_manifest(path)
 
+    def test_overflowing_shape_product_raises(self, tmp_path):
+        # 65536**4 == 2**64 wraps to 0 in int64, which would match the empty payload
+        path = tmp_path / "huge.sgcp"
+        path.write_bytes(struct.pack("<4sIIIsI4I", b"SGCP", 1, 1, 1, b"w", 4, *(65536,) * 4))
+        with pytest.raises(CheckpointError, match="payload"):
+            load_checkpoint(path)
+
     def test_state_mismatch_rejected(self, tmp_path):
         net = TumorSegNet(small_cfg(), seed=7)
         state = net.state_dict()

@@ -198,10 +198,6 @@ class TestEarlyStopping:
 
 
 class TestTrainConfig:
-    def test_patience_bounded(self):
-        with pytest.raises(ValueError, match="patience"):
-            TrainConfig(patience=2000, max_epochs=1000)
-
     @pytest.mark.parametrize("kwargs, field", [
         ({"max_epochs": 0, "patience": 0}, "max_epochs"),
         ({"cosine_T": 0}, "cosine_T"),
@@ -257,6 +253,13 @@ class TestFit:
         result = fit([phantom], [phantom], tiny_net_config(), cfg)
         assert result.stopped_early
         assert len(result.history) == 4  # epoch 0 best, then patience+1 flat epochs
+
+    def test_default_patience_beyond_max_epochs_runs_every_epoch(self, phantom):
+        cfg = TrainConfig(seed=1, max_epochs=2, use_prior=False)
+        assert cfg.patience > cfg.max_epochs
+        result = fit([phantom], [phantom], tiny_net_config(in_channels=4), cfg)
+        assert len(result.history) == 2
+        assert not result.stopped_early
 
     def test_divergence_aborts_with_diagnostic(self, phantom):
         cfg = TrainConfig(seed=1, max_epochs=50, patience=50, lr_init=1e8)

@@ -1,4 +1,4 @@
-"""SG3D round-trip, cropping, and PGM export tests."""
+"""SG3D round-trip and PGM export tests."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,7 @@ import pytest
 from voxseg.volume_io import (
     DTYPE_FLOAT32,
     SG3D_VERSION,
-    MultiModalVolume,
     VolumeFormatError,
-    center_crop,
-    crop_volume,
     export_slice_pgm,
     read_volume,
     write_volume,
@@ -94,37 +91,6 @@ class TestRoundTrip:
     def test_float64_rejected(self, tmp_path):
         with pytest.raises(VolumeFormatError, match="dtype"):
             write_volume(tmp_path / "d.sg3d", np.ones((1, 1, 1, 1), dtype=np.float64))
-
-
-class TestCenterCrop:
-    def test_same_size_identity(self):
-        x = np.random.default_rng(2).standard_normal((3, 4, 5))
-        np.testing.assert_array_equal(center_crop(x, (3, 4, 5)), x)
-
-    def test_window_start_floor(self):
-        x = np.arange(10.0).reshape(1, 1, 10)
-        got = center_crop(x, (1, 1, 4))
-        np.testing.assert_array_equal(got.ravel(), [3, 4, 5, 6])
-
-    def test_idempotent_at_target(self):
-        x = np.random.default_rng(3).standard_normal((8, 8, 8))
-        once = center_crop(x, (4, 6, 2))
-        np.testing.assert_array_equal(center_crop(once, (4, 6, 2)), once)
-
-    def test_target_too_large_rejected(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            center_crop(np.zeros((4, 4, 4)), (5, 4, 4))
-
-    def test_volume_crop_uses_same_window(self):
-        mods = np.zeros((4, 6, 6, 6), dtype=np.float32)
-        labels = np.zeros((6, 6, 6), dtype=np.uint8)
-        mods[:, 2, 3, 3] = 9.0  # marker voxel at the window center
-        labels[2, 3, 3] = 4
-        vol = crop_volume(MultiModalVolume(mods, labels), (2, 2, 2))
-        marked = np.argwhere(vol.modalities[0] == 9.0)
-        assert len(marked) == 1
-        d, h, w = marked[0]
-        assert vol.labels[d, h, w] == 4
 
 
 class TestPgmExport:
