@@ -9,7 +9,12 @@ gradient checking (`grad_check`).
 
 The recorded graph is the tape: each op stores its parents and a rule
 that maps the output gradient to parent gradients. `backward` replays
-the rules in reverse topological order.
+the rules in reverse topological order. A rule keeps only what it reads,
+in its smallest exact form, and recomputes cheap values from the parent
+data the tape already holds: relu and dropout keep bool masks, maxpool a
+uint8 argmax, group_norm recomputes its normalized input and conv3d its
+zero padding. The recomputation repeats the forward's own float
+operations, so gradients are bitwise those of stored copies.
 """
 
 from __future__ import annotations
@@ -341,7 +346,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = _pin_selection(lambda: (x.data > 0).astype(x.dtype))
+    mask = _pin_selection(lambda: x.data > 0)
     data = x.data * mask
     return _make(data, (x,), lambda g: [(x, g * mask)], "relu")
 
@@ -408,10 +413,17 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
     if rng is None or rate == 0.0:
         return x
-    mask = _keep_mask(rng, x.shape, rate).astype(x.dtype)
-    mask /= np.asarray(1.0 - rate, dtype=x.dtype)
-    data = x.data * mask
-    return _make(data, (x,), lambda g: [(x, g * mask)], "dropout")
+    keep = _keep_mask(rng, x.shape, rate)
+    scale = x.dtype.type(1.0) / x.dtype.type(1.0 - rate)
+    data = np.multiply(keep, scale, dtype=x.dtype)
+    data *= x.data
+
+    def rule(g):
+        gx = np.multiply(keep, scale, dtype=g.dtype)
+        gx *= g
+        return [(x, gx)]
+
+    return _make(data, (x,), rule, "dropout")
 
 
 # ---------------------------------------------------------------------------
@@ -439,40 +451,46 @@ def _im2col(xp: np.ndarray, k: int, dilation: int) -> np.ndarray:
     return np.ascontiguousarray(view.transpose(0, 1, 5, 6, 7, 2, 3, 4)).reshape(B, C * k ** 3, -1)
 
 
-def _conv3d_raw(x: np.ndarray, w: np.ndarray, dilation: int):
-    """Same-padded cross-correlation on raw arrays; returns (out, padded_x).
+def _pad_same(x: np.ndarray, k: int, dilation: int) -> np.ndarray:
+    """`x` zero-padded by dilation*(k-1)/2 on each spatial side (k > 1)."""
+    pad = dilation * (k - 1) // 2
+    return np.pad(x, ((0, 0), (0, 0)) + ((pad, pad),) * 3)
+
+
+def _conv3d_raw(x: np.ndarray, w: np.ndarray, dilation: int) -> np.ndarray:
+    """Same-padded cross-correlation on raw arrays.
 
     For k > 1 the output is computed in depth slabs: each slab takes its
     input rows plus the dilation*(k-1) halo, builds their patch matrix and
-    runs one GEMM. A slab's patch matrix holds at most `_SLAB_BYTES` per
-    batch item (or one output row, if a row is larger): a tile that stays
-    in cache and that the allocator reuses from slab to slab, where one
-    whole Cin*k^3*N matrix (226 MB for a 16-channel conv at 64x64x32) is
-    page-faulted fresh on every call and streamed through memory by the
-    GEMM. Slabs split only the output voxels, never a voxel's reduction
+    runs one GEMM straight into its slice of the output. A slab's patch
+    matrix holds at most `_SLAB_BYTES` per batch item (or one output row,
+    if a row is larger): a tile that stays in cache and that the allocator
+    reuses from slab to slab, where one whole Cin*k^3*N matrix (226 MB for
+    a 16-channel conv at 64x64x32) is page-faulted fresh on every call and
+    streamed through memory by the GEMM. Slabs split only the output voxels, never a voxel's reduction
     over Cin*k^3, so the result is bitwise that of one full-size GEMM
     wherever the BLAS sums a column independently of where the GEMM starts
     (OpenBLAS's SkylakeX kernels at the network's shapes).
     """
     B, Cin, D, H, W = x.shape
     Cout, _, k, _, _ = w.shape
-    halo = dilation * (k - 1)
-    pad = halo // 2
-    if pad:
-        xp = np.pad(x, ((0, 0), (0, 0)) + ((pad, pad),) * 3)
-    else:
-        xp = x
+    plane = H * W
+    out = np.empty((B, Cout, D * plane), dtype=x.dtype)
     if k == 1:
-        out = np.matmul(w.reshape(Cout, Cin), xp.reshape(B, Cin, -1))
+        np.matmul(w.reshape(Cout, Cin), x.reshape(B, Cin, -1), out=out)
     else:
+        halo = dilation * (k - 1)
+        xp = _pad_same(x, k, dilation)
         wm = w.reshape(Cout, -1)
-        out = np.empty((B, Cout, D, H * W), dtype=x.dtype)
-        rows = max(1, _SLAB_BYTES // (Cin * k ** 3 * H * W * x.itemsize))
+        rows = max(1, _SLAB_BYTES // (Cin * k ** 3 * plane * x.itemsize))
         for d0 in range(0, D, rows):
             n = min(rows, D - d0)
             col = _im2col(xp[:, :, d0 : d0 + n + halo], k, dilation)
-            out[:, :, d0 : d0 + n] = np.matmul(wm, col).reshape(B, Cout, n, H * W)
-    return out.reshape(B, Cout, D, H, W), xp
+            # a basic slice of the flat voxel axis: a view, never a copy
+            dst = out[:, :, d0 * plane : (d0 + n) * plane]
+            assert dst.base is out
+            np.matmul(wm, col, out=dst)
+    return out.reshape(B, Cout, D, H, W)
 
 
 def conv3d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1) -> Tensor:
@@ -497,20 +515,27 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1) -> Tensor
         raise ValueError(f"bias shape {bias.shape} != ({Cout},)")
     _check_same_dtype(x, weight, bias)
 
-    out_data, xp = _conv3d_raw(x.data, weight.data, dilation)
-    out_data = out_data + bias.data.reshape(1, Cout, 1, 1, 1)
+    out_data = _conv3d_raw(x.data, weight.data, dilation)
+    out_data += bias.data.reshape(1, Cout, 1, 1, 1)
     B = x.shape[0]
 
     def rule(g):
         gm = g.reshape(B, Cout, -1)
-        # weight gradient: one GEMM against the recomputed patch matrix
-        col = xp.reshape(B, Cin, -1) if k == 1 else _im2col(xp, k, dilation)
+        # weight gradient: one GEMM against the patch matrix of the input,
+        # padded again here rather than kept padded on the tape
+        if k == 1:
+            col = x.data.reshape(B, Cin, -1)
+        else:
+            col = _im2col(_pad_same(x.data, k, dilation), k, dilation)
         gw = np.matmul(gm, col.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
-        # input gradient: the same-padded dilated correlation of g with the
-        # spatially flipped, channel-swapped kernel
-        wf = np.ascontiguousarray(weight.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
-        gx, _ = _conv3d_raw(g, wf, dilation)
-        return [(x, gx), (weight, gw), (bias, gm.sum(axis=(0, 2)))]
+        del col  # freed before the input gradient allocates its own slabs
+        grads = [(weight, gw), (bias, gm.sum(axis=(0, 2)))]
+        if x.requires_grad or x._backward_rule is not None:
+            # input gradient: the same-padded dilated correlation of g with
+            # the spatially flipped, channel-swapped kernel
+            wf = np.ascontiguousarray(weight.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
+            grads.append((x, _conv3d_raw(g, wf, dilation)))
+        return grads
 
     return _make(out_data, (x, weight, bias), rule, "conv3d")
 
@@ -569,11 +594,11 @@ def maxpool3d(x: Tensor) -> Tensor:
         .transpose(0, 1, 2, 4, 6, 3, 5, 7)
         .reshape(B, C, D // 2, H // 2, W // 2, 8)
     )
-    arg = _pin_selection(lambda: np.argmax(blocks, axis=-1))
+    arg = _pin_selection(lambda: np.argmax(blocks, axis=-1).astype(np.uint8))
     data = np.take_along_axis(blocks, arg[..., None], axis=-1)[..., 0]
 
     def rule(g):
-        onehot = (np.arange(8, dtype=np.int64) == arg[..., None]).astype(x.dtype)
+        onehot = (np.arange(8, dtype=np.uint8) == arg[..., None]).astype(x.dtype)
         gb = onehot * g[..., None]
         gx = (
             gb.reshape(B, C, D // 2, H // 2, W // 2, 2, 2, 2)
@@ -603,11 +628,15 @@ def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float =
     mean = grouped.mean(axis=2, keepdims=True)
     var = grouped.var(axis=2, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    xhat = ((grouped - mean) * inv_std).reshape(x.shape)
     gshape = (1, C) + (1,) * len(spatial)
-    data = gamma.data.reshape(gshape) * xhat + beta.data.reshape(gshape)
+
+    def normalized():
+        return ((x.data.reshape(B, groups, -1) - mean) * inv_std).reshape(x.shape)
+
+    data = gamma.data.reshape(gshape) * normalized() + beta.data.reshape(gshape)
 
     def rule(g):
+        xhat = normalized()
         sum_axes = (0,) + tuple(range(2, x.ndim))
         gbeta = g.sum(axis=sum_axes)
         ggamma = (g * xhat).sum(axis=sum_axes)

@@ -83,6 +83,89 @@ def conv3d_im2col(x, w, bias=None, padding=0, dilation=1):
     return out
 
 
+# ---------------------------------------------------------------------------
+# Reference backward rules that keep full float copies on the tape. Each
+# returns (output, rule), where rule maps an output gradient to the input
+# gradient (or a tuple of gradients). The package's rules keep smaller
+# forms and recompute the rest; their bits must equal these.
+# ---------------------------------------------------------------------------
+
+
+def relu_float_mask(x):
+    mask = (x > 0).astype(x.dtype)
+    return x * mask, lambda g: g * mask
+
+
+def dropout_float_mask(x, rate, gen):
+    """Inverted dropout whose float mask is drawn in one `gen.random` call."""
+    mask = (gen.random(x.shape) >= rate).astype(x.dtype)
+    mask /= np.asarray(1.0 - rate, dtype=x.dtype)
+    return x * mask, lambda g: g * mask
+
+
+def group_norm_stored_xhat(x, groups, gamma, beta, eps=1e-5):
+    """Group norm keeping its normalized input; the rule returns
+    (gx, ggamma, gbeta)."""
+    B, C = x.shape[:2]
+    grouped = x.reshape(B, groups, -1)
+    mean = grouped.mean(axis=2, keepdims=True)
+    var = grouped.var(axis=2, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    xhat = ((grouped - mean) * inv_std).reshape(x.shape)
+    gshape = (1, C, 1, 1, 1)
+    out = gamma.reshape(gshape) * xhat + beta.reshape(gshape)
+
+    def rule(g):
+        sum_axes = (0, 2, 3, 4)
+        gxhat = (g * gamma.reshape(gshape)).reshape(B, groups, -1)
+        xh = xhat.reshape(B, groups, -1)
+        m1 = gxhat.mean(axis=2, keepdims=True)
+        m2 = (gxhat * xh).mean(axis=2, keepdims=True)
+        gx = (inv_std * (gxhat - m1 - xh * m2)).reshape(x.shape)
+        return gx, (g * xhat).sum(axis=sum_axes), g.sum(axis=sum_axes)
+
+    return out, rule
+
+
+def conv3d_stored_xp(x, w, bias, dilation=1):
+    """Same-padded conv3d keeping the padded input; the rule returns
+    (gx, gw, gbias), gx from the flipped-kernel correlation."""
+    B, Cin = x.shape[:2]
+    Cout, _, k = w.shape[:3]
+    padding = dilation * (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0)) + ((padding, padding),) * 3)
+    out = conv3d_im2col(x, w, bias, padding, dilation)
+
+    def rule(g):
+        gm = g.reshape(B, Cout, -1)
+        col = xp.reshape(B, Cin, -1) if k == 1 else im2col_full(xp, k, 0, dilation)[0]
+        gw = np.matmul(gm, col.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        wf = np.ascontiguousarray(w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
+        return conv3d_im2col(g, wf, None, padding, dilation), gw, gm.sum(axis=(0, 2))
+
+    return out, rule
+
+
+def maxpool3d_int64_argmax(x):
+    """2x2x2 max pooling keeping an int64 argmax per block."""
+    B, C, D, H, W = x.shape
+    blocks = (
+        x.reshape(B, C, D // 2, 2, H // 2, 2, W // 2, 2)
+        .transpose(0, 1, 2, 4, 6, 3, 5, 7)
+        .reshape(B, C, D // 2, H // 2, W // 2, 8)
+    )
+    arg = np.argmax(blocks, axis=-1)
+    out = np.take_along_axis(blocks, arg[..., None], axis=-1)[..., 0]
+
+    def rule(g):
+        onehot = (np.arange(8, dtype=np.int64) == arg[..., None]).astype(x.dtype)
+        gb = onehot * g[..., None]
+        gx = gb.reshape(B, C, D // 2, H // 2, W // 2, 2, 2, 2).transpose(0, 1, 2, 5, 3, 6, 4, 7)
+        return np.ascontiguousarray(gx.reshape(x.shape))
+
+    return out, rule
+
+
 def conv_transpose3d_scatter(x, w, bias=None):
     """Scatter-add oracle for the stride-2, 2x2x2 transposed convolution."""
     B, Cin, D, H, W = x.shape

@@ -28,9 +28,14 @@ from oracles import (
     conv3d_im2col,
     conv3d_input_grad_loops,
     conv3d_loops,
+    conv3d_stored_xp,
     conv_transpose3d_scatter,
+    dropout_float_mask,
+    group_norm_stored_xhat,
     im2col_full,
     matmul_loops,
+    maxpool3d_int64_argmax,
+    relu_float_mask,
 )
 
 
@@ -133,6 +138,17 @@ class TestConv3d:
             return (y * y).sum()
 
         assert grad_check(f, [x, w]) < 1e-6
+
+    def test_input_gradient_skipped_when_input_needs_none(self, monkeypatch):
+        calls = []
+        raw = autodiff._conv3d_raw
+        monkeypatch.setattr(autodiff, "_conv3d_raw", lambda *a: calls.append(a) or raw(*a))
+        rng = np.random.default_rng(5)
+        x = randt(rng, (1, 2, 4, 4, 3))
+        w = randt(rng, (3, 2, 3, 3, 3), requires_grad=True)
+        backward(conv3d(x, w, Tensor(np.zeros(3))).sum())
+        assert len(calls) == 1  # the forward's correlation only
+        assert x.grad is None and w.grad is not None
 
     def test_channel_mismatch_raises(self):
         x = Tensor(np.ones((1, 2, 4, 4, 4)))
@@ -392,6 +408,85 @@ class TestDropout:
                 dropout(x, 1.0, rng)
             with pytest.raises(ValueError):
                 dropout(x, -0.1, rng)
+
+
+def _accumulated(grad):
+    """`grad` as `backward` leaves it on a leaf: added to a zero buffer."""
+    return (np.zeros_like(grad) + grad).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestRulesMatchStoredCopies:
+    """Rules that keep bool masks and a uint8 argmax, and recompute the
+    normalized input and the padding, give the bytes of the reference rules
+    in `oracles` that keep float copies. Each op's rule receives `g` itself:
+    the output is weighted by `g` and summed."""
+
+    def test_relu(self, dtype):
+        rng = np.random.default_rng(30)
+        x = rng.standard_normal((2, 3, 4, 4, 4)).astype(dtype)
+        x.reshape(-1)[:4] = [0.0, -0.0, 1.0, -1.0]
+        g = rng.standard_normal(x.shape).astype(dtype)
+        g.reshape(-1)[:4] = [-0.0, -0.0, -0.0, 1.0]
+        want, rule = relu_float_mask(x)
+        xt = Tensor(x, requires_grad=True)
+        out = relu(xt)
+        backward((out * Tensor(g)).sum())
+        assert out.data.tobytes() == want.tobytes()
+        assert xt.grad.tobytes() == _accumulated(rule(g))
+
+    def test_dropout(self, dtype):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((2, 3, 4, 4, 4)).astype(dtype)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        want, rule = dropout_float_mask(x, 0.3, derive_rng(6, 1))
+        xt = Tensor(x, requires_grad=True)
+        out = dropout(xt, 0.3, derive_rng(6, 1))
+        backward((out * Tensor(g)).sum())
+        assert out.data.tobytes() == want.tobytes()
+        assert xt.grad.tobytes() == _accumulated(rule(g))
+
+    def test_group_norm(self, dtype):
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal((2, 4, 3, 4, 2)).astype(dtype)
+        gamma = rng.uniform(0.5, 1.5, 4).astype(dtype)
+        beta = rng.standard_normal(4).astype(dtype)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        want, rule = group_norm_stored_xhat(x, 2, gamma, beta)
+        leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        out = group_norm(leaves[0], 2, leaves[1], leaves[2])
+        backward((out * Tensor(g)).sum())
+        assert out.data.tobytes() == want.tobytes()
+        for leaf, grad in zip(leaves, rule(g)):
+            assert leaf.grad.tobytes() == _accumulated(grad)
+
+    # one depth slab at the default budget, so the forward is one GEMM as in
+    # the reference
+    @pytest.mark.parametrize("k,dilation", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    def test_conv3d(self, dtype, k, dilation):
+        rng = np.random.default_rng(33)
+        x = rng.standard_normal((2, 3, 5, 6, 4)).astype(dtype)
+        w = rng.standard_normal((4, 3, k, k, k)).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype)
+        g = rng.standard_normal((2, 4, 5, 6, 4)).astype(dtype)
+        want, rule = conv3d_stored_xp(x, w, b, dilation)
+        leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        out = conv3d(*leaves, dilation=dilation)
+        backward((out * Tensor(g)).sum())
+        assert out.data.tobytes() == want.tobytes()
+        for leaf, grad in zip(leaves, rule(g)):
+            assert leaf.grad.tobytes() == _accumulated(grad)
+
+    def test_maxpool3d(self, dtype):
+        rng = np.random.default_rng(34)
+        x = rng.integers(-2, 3, (2, 3, 4, 6, 4)).astype(dtype)  # ties in most blocks
+        g = rng.standard_normal((2, 3, 2, 3, 2)).astype(dtype)
+        want, rule = maxpool3d_int64_argmax(x)
+        xt = Tensor(x, requires_grad=True)
+        out = maxpool3d(xt)
+        backward((out * Tensor(g)).sum())
+        assert out.data.tobytes() == want.tobytes()
+        assert xt.grad.tobytes() == _accumulated(rule(g))
 
 
 class TestActivations:
