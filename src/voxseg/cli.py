@@ -20,7 +20,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .autodiff import _openblas
 from .metrics import REGIONS, RegionMasks, compose_regions
-from .network import CA_REDUCTION, SPATIAL_ATTENTION_VOXEL_CAP, NetworkConfig, TumorSegNet, count_params
+from .network import CA_REDUCTION, NetworkConfig, TumorSegNet, count_params
 from .phantom import PhantomSpec, gen_phantom, split_dataset
 from .prior import PriorConfig, generate_prior, tumor_std_stats
 from .training import (
@@ -286,7 +286,7 @@ def _cmd_train(args) -> int:
 
 # "net" settings that older config.json files record, each at the one value it may hold
 _RETIRED_NET_SETTINGS = {"out_channels": NetworkConfig.out_channels, "ca_reduction": CA_REDUCTION,
-                         "spatial_attention_voxel_cap": SPATIAL_ATTENTION_VOXEL_CAP, "aam_before_merge": False}
+                         "spatial_attention_voxel_cap": 32768, "aam_before_merge": False, "aam_mode": "channel"}
 
 
 def _cmd_infer(args) -> int:

@@ -56,8 +56,6 @@ __all__ = [
 
 # Channel-attention bottleneck: the hidden width is channels // CA_REDUCTION.
 CA_REDUCTION = 2
-# Spatial attention builds an NxN matrix, so it refuses volumes above this.
-SPATIAL_ATTENTION_VOXEL_CAP = 32768
 
 
 @dataclass
@@ -71,20 +69,19 @@ class NetworkConfig:
     dropout_rate: float = 0.2
     msff_kernel: int = 3
     msff_dilation: int = 2
-    aam_mode: str = "channel"
     use_msff: bool = True
     use_aam: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
-        if self.aam_mode not in ("channel", "spatial"):
-            raise ValueError(f"aam_mode {self.aam_mode!r} not in ('channel', 'spatial')")
         if self.msff_kernel not in (1, 3, 5, 7):
             raise ValueError(f"msff_kernel {self.msff_kernel} not in (1, 3, 5, 7)")
         if len(self.stage_widths) != 4:
             raise ValueError(f"need exactly 4 stage widths, got {len(self.stage_widths)}")
         for w in self.stage_widths:
+            if w < 1:
+                raise ValueError(f"stage width {w} must be at least 1")
             if w % self.gn_groups:
                 raise ValueError(f"stage width {w} not divisible by gn_groups {self.gn_groups}")
             if w % CA_REDUCTION:
@@ -119,10 +116,6 @@ class Module:
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
 
     def cast_parameters(self, dtype) -> "Module":
         """In-place precision change of every parameter (for grad checks)."""
@@ -263,14 +256,12 @@ class PlainConvBlock(Module):
 class AdaptiveAttention(Module):
     """Key/query/value attention with a learned, zero-initialized gate.
 
-    Channel mode builds a CxC gram matrix over the flattened volume;
-    spatial mode builds an NxN matrix and is capped to small volumes.
+    The attention is a CxC gram matrix over the flattened volume.
     The gated attention output modulates the input elementwise and is
     added back, so a freshly initialized block is the identity map.
     """
 
     def __init__(self, channels: int, cfg: NetworkConfig, rng: np.random.Generator):
-        self.mode = cfg.aam_mode
         self.proj_k = Conv3d(channels, channels, 1, rng)
         self.proj_q = Conv3d(channels, channels, 1, rng)
         self.proj_v = Conv3d(channels, channels, 1, rng)
@@ -280,25 +271,16 @@ class AdaptiveAttention(Module):
     def forward(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
         b, c = x.shape[0], x.shape[1]
         n = int(np.prod(x.shape[2:]))
-        if self.mode == "spatial" and n > SPATIAL_ATTENTION_VOXEL_CAP:
-            raise ValueError(
-                f"spatial attention over {n} voxels exceeds the cap of {SPATIAL_ATTENTION_VOXEL_CAP}"
-            )
         # k and q are dropped once their logits exist, and v once mixed, so
         # that without a tape at most two projections are alive at a time
         k = reshape(dropout(self.proj_k.forward(x), self.rate, rng), (b, c, n))
         q = reshape(dropout(self.proj_q.forward(x), self.rate, rng), (b, c, n))
-        channel = self.mode == "channel"
-        scale = 1.0 / float(np.sqrt(n if channel else c))
-        spec = "bin,bjn->bij" if channel else "bcm,bcn->bmn"
-        logits = mul(contract(k, q, spec), Tensor(np.asarray(scale, dtype=x.dtype)))
+        scale = 1.0 / float(np.sqrt(n))
+        logits = mul(contract(k, q, "bin,bjn->bij"), Tensor(np.asarray(scale, dtype=x.dtype)))
         del k, q
         v = reshape(dropout(self.proj_v.forward(x), self.rate, rng), (b, c, n))
         attn = softmax(logits, axis=2)
-        if channel:
-            mixed = contract(attn, v, "bij,bjn->bin")
-        else:
-            mixed = contract(v, attn, "bcn,bmn->bcm")
+        mixed = contract(attn, v, "bij,bjn->bin")
         del v
         mixed = reshape(mixed, x.shape)
         gate = reshape(self.gate, (1, c, 1, 1, 1))
@@ -307,7 +289,7 @@ class AdaptiveAttention(Module):
     def flops(self, n_out: int) -> int:
         c = self.gate.shape[0]
         # the two contractions: logits, then the attention-weighted mix
-        return super().flops(n_out) + 4 * c * n_out * (c if self.mode == "channel" else n_out)
+        return super().flops(n_out) + 4 * c * c * n_out
 
 
 class SkipRecalibration(Module):

@@ -293,8 +293,6 @@ def fit(train_volumes, val_volumes, net_config: NetworkConfig | None,
         history.append(EpochStats(epoch, lr, train_loss, val_loss))
 
         signal = stopper.update(val_loss)
-        if signal is StopSignal.ERROR:
-            raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
         if stopper.improved:
             best_state = net.state_dict()
             best_epoch = epoch

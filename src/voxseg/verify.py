@@ -64,10 +64,8 @@ def _perturb(module, rng, scale=0.05):
     return module
 
 
-def _small_cfg(**overrides):
-    base = dict(in_channels=2, stage_widths=(4, 4, 4, 4), gn_groups=2, dropout_rate=0.0)
-    base.update(overrides)
-    return NetworkConfig(**base)
+def _small_cfg():
+    return NetworkConfig(in_channels=2, stage_widths=(4, 4, 4, 4), gn_groups=2, dropout_rate=0.0)
 
 
 def _sumsq(t: Tensor) -> Tensor:
@@ -165,8 +163,8 @@ def _check_msff(rng):
     return lambda: _sumsq(block.forward(x, None)), [x] + block.parameters()
 
 
-def _check_aam(rng, mode):
-    aam = _perturb(AdaptiveAttention(4, _small_cfg(aam_mode=mode), rng).cast_parameters(np.float64), rng)
+def _check_aam(rng):
+    aam = _perturb(AdaptiveAttention(4, _small_cfg(), rng).cast_parameters(np.float64), rng)
     aam.gate.data[:] = rng.standard_normal(4) * 0.5
     x = _randt(rng, (1, 4, 2, 2, 1))
     return lambda: _sumsq(aam.forward(x, None)), [x] + aam.parameters()
@@ -203,8 +201,7 @@ def run_gradient_checks(tolerance: float = DEFAULT_TOL, seed: int = 0) -> list[C
         ("channel_attention", _check_channel_attention, {}),
         ("feature_calibration", _check_fcm, {}),
         ("multi_scale_fusion", _check_msff, {"max_coords": 150}),
-        ("adaptive_attention_channel", lambda r: _check_aam(r, "channel"), {"max_coords": 150}),
-        ("adaptive_attention_spatial", lambda r: _check_aam(r, "spatial"), {"max_coords": 150}),
+        ("adaptive_attention_channel", _check_aam, {"max_coords": 150}),
         ("skip_recalibration", _check_skip, {}),
         ("full_network_combined_loss", _check_full_network, {"max_coords": 3}),
     ]

@@ -163,7 +163,7 @@ class TestInferCommand:
 class TestOlderRunDirectory:
     # "net" settings that older config.json files hold, at the one value each may have
     RETIRED = {"out_channels": 3, "ca_reduction": 2, "spatial_attention_voxel_cap": 32768,
-               "aam_before_merge": False}
+               "aam_before_merge": False, "aam_mode": "channel"}
 
     def _older_run(self, trained, tmp_path, **values):
         run = tmp_path / "older_run"
@@ -192,7 +192,8 @@ class TestOlderRunDirectory:
             assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
 
     @pytest.mark.parametrize("key, value", [("aam_before_merge", True), ("out_channels", 4),
-                                            ("ca_reduction", 4), ("spatial_attention_voxel_cap", 7)])
+                                            ("ca_reduction", 4), ("spatial_attention_voxel_cap", 7),
+                                            ("aam_mode", "spatial")])
     def test_other_retired_value_is_runtime_error_without_output(self, trained, dataset, tmp_path,
                                                                   capsys, key, value):
         older = self._older_run(trained, tmp_path, **{key: value})
@@ -332,6 +333,8 @@ class TestExitCodes:
         pytest.param("train --data {data} --out {out} --patience -3", None, id="train-patience"),
         pytest.param("train --data {data} --out {out} --seed -1", None, id="train-seed"),
         pytest.param("train --data {data} --out {out} --widths 4,4,6,4", None, id="train-widths"),
+        pytest.param("train --data {data} --out {out} --widths 0,0,0,0", None, id="train-widths-zero"),
+        pytest.param("train --data {data} --out {out} --widths -8,-8,-8,-8", None, id="train-widths-negative"),
         pytest.param("infer --checkpoint {ckpt} --img {img} --out {out} --passes 0", None, id="infer-passes"),
         pytest.param("phantom --cases 1 --dims 16x16x8 --noise -3 --out {out}", None, id="phantom-noise-neg"),
         pytest.param("phantom --cases 1 --dims 16x16x8 --noise nan --out {out}", None, id="phantom-noise-nan"),

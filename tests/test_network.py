@@ -139,11 +139,10 @@ class TestMultiScaleFusion:
 class TestAdaptiveAttention:
     def test_identity_at_initialization(self):
         rng = np.random.default_rng(10)
-        for mode in ("channel", "spatial"):
-            aam = AdaptiveAttention(4, small_cfg(aam_mode=mode), rng)
-            x = Tensor(rng.standard_normal((1, 4, 2, 2, 2)).astype(np.float32))
-            out = aam.forward(x, None)
-            np.testing.assert_array_equal(out.data, x.data)
+        aam = AdaptiveAttention(4, small_cfg(), rng)
+        x = Tensor(rng.standard_normal((1, 4, 2, 2, 2)).astype(np.float32))
+        out = aam.forward(x, None)
+        np.testing.assert_array_equal(out.data, x.data)
 
     def test_attention_rows_normalized(self):
         rng = np.random.default_rng(11)
@@ -157,23 +156,9 @@ class TestAdaptiveAttention:
         attn = softmax(logits, axis=2)
         np.testing.assert_allclose(attn.data.sum(axis=2), 1.0, atol=1e-6)
 
-    def test_spatial_cap_enforced(self):
-        cap = network.SPATIAL_ATTENTION_VOXEL_CAP
-        aam = AdaptiveAttention(4, small_cfg(aam_mode="spatial"), np.random.default_rng(12))
-        # without projections, only a check made before any projection
-        # can raise the ValueError; at the cap the forward gets past it
-        aam.proj_k = aam.proj_q = aam.proj_v = None
-        with pytest.raises(ValueError, match=f"cap of {cap}"):
-            aam.forward(Tensor(np.zeros((1, 4, 1, 1, cap + 1), dtype=np.float32)), None)
-        with pytest.raises(ValueError, match=f"cap of {cap}"):
-            aam.forward(Tensor(np.zeros((1, 4, 32, 32, 33), dtype=np.float32)), None)
-        with pytest.raises(AttributeError):
-            aam.forward(Tensor(np.zeros((1, 4, 1, 1, cap), dtype=np.float32)), None)
-
-    @pytest.mark.parametrize("mode", ["channel", "spatial"])
-    def test_gradcheck(self, mode):
+    def test_gradcheck(self):
         rng = np.random.default_rng(13)
-        aam = f64(AdaptiveAttention(4, small_cfg(aam_mode=mode), rng))
+        aam = f64(AdaptiveAttention(4, small_cfg(), rng))
         aam.gate.data[:] = rng.standard_normal(4)  # nonzero so attention path is live
         x = Tensor(rng.standard_normal((1, 4, 2, 2, 1)), requires_grad=True)
 
@@ -291,11 +276,6 @@ class TestFullNetwork:
         leaves = [x] + net.parameters()
         assert grad_check(f, leaves, max_coords=8, rng_seed=3) < 1e-5
 
-    def test_spatial_attention_mode_forward(self):
-        net = TumorSegNet(small_cfg(aam_mode="spatial"), seed=5)
-        x = Tensor(np.random.default_rng(6).standard_normal((1, 5, 8, 8, 8)).astype(np.float32))
-        assert net.forward(x, OFF).shape == (1, 3, 8, 8, 8)
-
     def test_baseline_flops_positive_and_smaller(self):
         full = TumorSegNet(small_cfg(), seed=0)
         base = TumorSegNet(small_cfg(use_msff=False, use_aam=False), seed=0)
@@ -352,7 +332,7 @@ class TestNetworkConfig:
         assert TumorSegNet(small_cfg(), seed=0).head.weight.shape[0] == len(REGIONS)
 
     @pytest.mark.parametrize("name", ["out_channels", "ca_reduction",
-                                      "spatial_attention_voxel_cap", "aam_before_merge"])
+                                      "spatial_attention_voxel_cap", "aam_before_merge", "aam_mode"])
     def test_retired_settings_are_not_fields(self, name):
         with pytest.raises(TypeError, match=name):
             NetworkConfig(**{name: getattr(NetworkConfig, name, None)})
@@ -361,6 +341,11 @@ class TestNetworkConfig:
     def test_dropout_rate_outside_unit_interval_rejected(self, rate):
         with pytest.raises(ValueError, match="dropout_rate"):
             NetworkConfig(dropout_rate=rate)
+
+    @pytest.mark.parametrize("width", [0, -8])
+    def test_stage_width_below_one_rejected(self, width):
+        with pytest.raises(ValueError, match="at least 1"):
+            NetworkConfig(stage_widths=(width, 16, 32, 64))
 
 
 class TestAblationManifest:
@@ -410,8 +395,8 @@ class TestAccounting:
         ratio = count_params(big) / count_params(small)
         assert 3.0 < ratio < 4.5
 
-    @pytest.mark.parametrize("overrides", [{}, {"use_msff": False, "use_aam": False}, {"aam_mode": "spatial"}],
-                             ids=["full", "baseline", "spatial_attention"])
+    @pytest.mark.parametrize("overrides", [{}, {"use_msff": False, "use_aam": False}],
+                             ids=["full", "baseline"])
     def test_count_flops_equals_a_forward(self, overrides, monkeypatch):
         # FLOPs from the shapes each conv, transposed conv and contraction
         # actually sees in one batch-1 forward

@@ -8,8 +8,9 @@ import threading
 import numpy as np
 import pytest
 
-from voxseg import training
+from voxseg import autodiff, training
 from voxseg.autodiff import DropoutMode, Tensor, _openblas, backward, derive_rng, derive_seed, no_grad
+from voxseg.losses import combined_loss
 from voxseg.network import NetworkConfig, TumorSegNet
 from voxseg.phantom import PhantomSpec, gen_phantom
 from voxseg.training import (
@@ -263,8 +264,19 @@ class TestFit:
 
     def test_divergence_aborts_with_diagnostic(self, phantom):
         cfg = TrainConfig(seed=1, max_epochs=50, patience=50, lr_init=1e8)
-        with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError, match="epoch"):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError, match="epoch"):
             fit([phantom], [phantom], tiny_net_config(), cfg)
+
+    def test_non_finite_validation_aborts_with_diagnostic(self, phantom, monkeypatch):
+        # the loss turns infinite only under no_grad, i.e. in validation
+        def loss(pred, target):
+            out = combined_loss(pred, target)
+            return out if autodiff._grad_enabled else out * math.inf
+
+        monkeypatch.setattr(training, "combined_loss", loss)
+        cfg = TrainConfig(seed=1, max_epochs=2, patience=2, use_prior=False)
+        with pytest.raises(TrainingDivergedError, match="in validation at epoch 0"):
+            fit([phantom], [phantom], tiny_net_config(in_channels=4), cfg)
 
     def test_history_format(self):
         from voxseg.training import EpochStats
@@ -381,8 +393,6 @@ class TestMcInfer:
     @pytest.mark.parametrize("failing", ["helper", "caller"])
     def test_pass_error_reaches_caller_and_restores_blas(self, mc_setup, monkeypatch, failing,
                                                          two_blas_threads):
-        from voxseg import autodiff
-
         net, x, _ = mc_setup
         set_cpus(monkeypatch, 2)
         caller = threading.get_ident()
