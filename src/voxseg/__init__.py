@@ -22,7 +22,6 @@ from .phantom import PhantomSpec, gen_phantom, split_dataset
 from .prior import PriorConfig, TumorStdStats, build_input, generate_prior, tumor_std_stats
 from .training import (
     AdamW,
-    EarlyStopping,
     FitResult,
     McResult,
     TrainConfig,

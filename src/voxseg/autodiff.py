@@ -224,7 +224,7 @@ def _make(data: np.ndarray, parents: Iterable[Tensor], rule, op: str) -> Tensor:
         raise FloatingPointError(f"non-finite values produced by {op}")
     out = Tensor(data)
     parents = tuple(parents)
-    if _grad_enabled and any(p.requires_grad or p._backward_rule is not None for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_rule = rule
@@ -530,7 +530,7 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1) -> Tensor
         gw = np.matmul(gm, col.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
         del col  # freed before the input gradient allocates its own slabs
         grads = [(weight, gw), (bias, gm.sum(axis=(0, 2)))]
-        if x.requires_grad or x._backward_rule is not None:
+        if x.requires_grad:
             # input gradient: the same-padded dilated correlation of g with
             # the spatially flipped, channel-swapped kernel
             wf = np.ascontiguousarray(weight.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
@@ -761,7 +761,7 @@ def backward(loss: Tensor) -> None:
         if node._backward_rule is None:
             continue
         for parent, pg in node._backward_rule(g):
-            if not (parent.requires_grad or parent._backward_rule is not None):
+            if not parent.requires_grad:
                 continue
             if pg.shape != parent.shape:
                 raise AssertionError(f"gradient shape {pg.shape} != parent shape {parent.shape}")
@@ -867,9 +867,14 @@ def grad_check(
 
 
 def derive_seed(root: int, *path: int) -> int:
-    """Stable child seed from a root seed and an integer path."""
-    ss = np.random.SeedSequence([int(root) & 0xFFFFFFFF] + [int(p) & 0xFFFFFFFF for p in path])
-    return int(ss.generate_state(1)[0])
+    """Stable child seed from a root seed and a path of non-negative ints
+    of any size; a negative one raises SeedSequence's ValueError."""
+    key = [int(root), *(int(p) for p in path)]
+    if any(k >> 32 for k in key):
+        # SeedSequence splits these into 32-bit words and zero-pads short keys,
+        # so (2**32, 0) would read as (0, 1); word counts keep them apart
+        key += [(k.bit_length() + 31) // 32 for k in key]
+    return int(np.random.SeedSequence(key).generate_state(1)[0])
 
 
 def derive_rng(root: int, *path: int) -> np.random.Generator:

@@ -154,6 +154,8 @@ def hausdorff(pred: np.ndarray, gt: np.ndarray, spacing: tuple[float, float, flo
     farthest points against every point of the other set, so the value
     is the brute-force maximum bit for bit.
     """
+    if np.shape(pred) != np.shape(gt):
+        raise ValueError(f"shape mismatch {np.shape(pred)} vs {np.shape(gt)}")
     sp = np.asarray(spacing, dtype=np.float64)
     if sp.shape != (3,) or not np.all(np.isfinite(sp)) or not np.all(sp > 0):
         raise ValueError(f"spacing must be three finite values > 0, got {spacing!r}")

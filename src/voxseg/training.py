@@ -1,10 +1,10 @@
 """Training loop, optimizer, schedules, and Monte-Carlo-dropout inference.
 
 Training runs decoupled-weight-decay Adam under a cosine learning-rate
-schedule with early stopping on validation loss. Inference keeps dropout
-active across several stochastic forward passes; the per-voxel mean is
-the prediction and the per-voxel population variance is the uncertainty
-map.
+schedule until the validation loss has not strictly improved for more
+than `patience` epochs. Inference keeps dropout active across several
+stochastic forward passes; the per-voxel mean is the prediction and the
+per-voxel population variance is the uncertainty map.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -37,8 +36,6 @@ __all__ = [
     "TrainingDivergedError",
     "AdamW",
     "cosine_lr",
-    "EarlyStopping",
-    "StopSignal",
     "EpochStats",
     "FitResult",
     "McResult",
@@ -145,38 +142,6 @@ def cosine_lr(epoch: int, config: TrainConfig) -> float:
     return config.lr_min + span * (1.0 + math.cos(math.pi * t / config.cosine_T)) / 2.0
 
 
-class StopSignal(Enum):
-    CONTINUE = "continue"
-    STOP = "stop"
-    ERROR = "error"
-
-
-class EarlyStopping:
-    """Stop when the validation loss has not strictly improved for more
-    than `patience` epochs. NaN loss is an immediate error stop."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best_loss = math.inf
-        self.epochs_since_best = 0
-
-    def update(self, val_loss: float) -> StopSignal:
-        if math.isnan(val_loss):
-            return StopSignal.ERROR
-        if val_loss < self.best_loss:
-            self.best_loss = val_loss
-            self.epochs_since_best = 0
-            return StopSignal.CONTINUE
-        self.epochs_since_best += 1
-        if self.epochs_since_best > self.patience:
-            return StopSignal.STOP
-        return StopSignal.CONTINUE
-
-    @property
-    def improved(self) -> bool:
-        return self.epochs_since_best == 0
-
-
 @dataclass
 class EpochStats:
     epoch: int
@@ -230,8 +195,9 @@ def fit(train_volumes, val_volumes, net_config: NetworkConfig | None,
     Every epoch walks the training cases one at a time (batch size 1),
     accumulates the combined Dice/cross-entropy loss, and steps the
     optimizer at the cosine-scheduled rate. Validation runs with dropout
-    off. The returned network carries the final-epoch parameters; the
-    best-validation parameters are in `best_state`.
+    off, and training stops once its loss has not strictly improved for
+    more than `patience` epochs. The returned network carries the last
+    epoch's parameters; the best-validation epoch's are in `best_state`.
 
     When no prior configuration is given, the region-growing tolerance is
     derived from the labeled training split (median tumor-intensity std).
@@ -255,10 +221,8 @@ def fit(train_volumes, val_volumes, net_config: NetworkConfig | None,
     net = TumorSegNet(net_config, seed=config.seed)
     optimizer = AdamW(list(net.named_parameters()), lr=config.lr_init,
                       weight_decay=config.weight_decay)
-    stopper = EarlyStopping(config.patience)
     history: list[EpochStats] = []
-    best_state = net.state_dict()
-    best_epoch = -1
+    best_val_loss = math.inf
     stopped_early = False
 
     for epoch in range(config.max_epochs):
@@ -292,16 +256,15 @@ def fit(train_volumes, val_volumes, net_config: NetworkConfig | None,
         val_loss = float(np.mean(val_losses))
         history.append(EpochStats(epoch, lr, train_loss, val_loss))
 
-        signal = stopper.update(val_loss)
-        if stopper.improved:
-            best_state = net.state_dict()
-            best_epoch = epoch
-        if signal is StopSignal.STOP:
+        # epoch 0 always improves (a non-finite loss raised above)
+        if val_loss < best_val_loss:
+            best_val_loss, best_epoch, best_state = val_loss, epoch, net.state_dict()
+        elif epoch - best_epoch > config.patience:
             stopped_early = True
             break
 
     return FitResult(net=net, best_state=best_state, best_epoch=best_epoch,
-                     best_val_loss=stopper.best_loss, history=history,
+                     best_val_loss=best_val_loss, history=history,
                      stopped_early=stopped_early,
                      prior_config=prior_config if config.use_prior else None)
 

@@ -14,6 +14,7 @@ from voxseg.autodiff import (
     conv3d,
     conv_transpose3d,
     derive_rng,
+    derive_seed,
     dropout,
     global_avg_pool,
     grad_check,
@@ -676,3 +677,26 @@ class TestSeeding:
         c = derive_rng(5, 1, 3).random(4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("args, seed", [
+        ((0,), 2968811710),
+        ((0, 1), 3964924996),
+        ((1, 2, 3), 3822189696),
+        ((7, 1, 0, 0), 369571992),
+        ((2**31, 2, 5), 194718001),
+        ((2**32 - 1, 9), 2984740082),
+    ])
+    def test_seeds_below_2_32_keep_their_values(self, args, seed):
+        assert derive_seed(*args) == seed
+
+    def test_seeds_from_2_32_do_not_repeat_smaller_ones(self):
+        assert derive_seed(2**32, 1) != derive_seed(0, 1)
+        assert derive_seed(5, 2**32 + 3) != derive_seed(5, 3)
+        # read as 32-bit words, (2**32, 0) is (0, 1) and (5 * 2**32 + 3, 0) is (3, 5)
+        assert derive_seed(2**32, 0) != derive_seed(0, 1)
+        assert derive_seed(5 * 2**32 + 3, 0) != derive_seed(3, 5)
+        assert derive_seed(2**32 + 3, 5) != derive_seed(3, 2**32 + 5)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            derive_seed(-1, 0)

@@ -98,6 +98,10 @@ class TestDiceScore:
         assert dice_score(a, b) == 0.0
         assert dice_score(b, a) == 0.0
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            dice_score(np.ones((8, 8, 8), dtype=bool), np.ones((16, 8, 4), dtype=bool))
+
     def test_matches_set_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -244,6 +248,11 @@ class TestHausdorff:
             a = random_blob_mask(rng, shape)
             b = random_blob_mask(rng, shape)
             assert hausdorff(a, b, (1.0, 0.7, 2.5)) == hausdorff_brute(a, b, (1.0, 0.7, 2.5))
+
+    def test_shape_mismatch_rejected(self):
+        # equal voxel counts, and boundaries that would give a finite distance
+        with pytest.raises(ValueError, match="shape mismatch"):
+            hausdorff(np.ones((8, 8, 8), dtype=bool), np.ones((16, 8, 4), dtype=bool))
 
     @pytest.mark.parametrize("spacing", [(1.0, 0.0, 1.0), (1.0, -1.0, 1.0), (1.0, float("nan"), 1.0),
                                          (float("inf"), 1.0, 1.0), (1.0, 1.0)])

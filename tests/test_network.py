@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from voxseg import network
+from voxseg import autodiff, network
 from voxseg.autodiff import DropoutMode, Tensor, grad_check, no_grad
 from voxseg.checkpoint import CheckpointError, load_checkpoint, read_manifest, save_checkpoint
 from voxseg.losses import combined_loss
@@ -275,6 +275,19 @@ class TestFullNetwork:
 
         leaves = [x] + net.parameters()
         assert grad_check(f, leaves, max_coords=8, rng_seed=3) < 1e-5
+
+    def test_every_taped_tensor_with_a_rule_requires_grad(self):
+        net = TumorSegNet(small_cfg(), seed=11)
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.standard_normal((1, 5, 8, 8, 8)).astype(np.float32))
+        target = (rng.random((1, 3, 8, 8, 8)) > 0.5).astype(np.float32)
+        tape = autodiff._toposort(combined_loss(net.forward(x, DropoutMode.TRAIN, 1), target))
+        ruled = [t for t in tape if t._backward_rule is not None]
+        assert len(ruled) > 100
+        assert all(t.requires_grad for t in ruled)
+        # parameters are the only leaves that take gradients
+        leaves = {id(t) for t in tape if t.requires_grad and t._backward_rule is None}
+        assert leaves == {id(p) for p in net.parameters()}
 
     def test_baseline_flops_positive_and_smaller(self):
         full = TumorSegNet(small_cfg(), seed=0)

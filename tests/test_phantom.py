@@ -27,6 +27,12 @@ class TestGenPhantom:
         c = gen_phantom(spec, 4)
         assert not np.array_equal(a.modalities, c.modalities)
 
+    def test_seed_from_2_32_repeats_no_case_of_a_smaller_seed(self):
+        big = gen_phantom(PhantomSpec(dims=(16, 16, 8), rng_seed=2**32), 0)
+        for case in (0, 1):
+            small = gen_phantom(PhantomSpec(dims=(16, 16, 8), rng_seed=0), case)
+            assert not np.array_equal(big.modalities, small.modalities)
+
     def test_noiseless_matches_intensity_table(self):
         spec = PhantomSpec(rng_seed=3, noise_sigma=0.0)
         vol = gen_phantom(spec, 0)

@@ -1,4 +1,4 @@
-"""Optimizer, scheduler, early-stopping, fit-loop, and MC-inference tests."""
+"""Optimizer, scheduler, fit-loop (stop rule included), and MC-inference tests."""
 
 import math
 import os
@@ -15,8 +15,6 @@ from voxseg.network import NetworkConfig, TumorSegNet
 from voxseg.phantom import PhantomSpec, gen_phantom
 from voxseg.training import (
     AdamW,
-    EarlyStopping,
-    StopSignal,
     TrainConfig,
     TrainingDivergedError,
     cosine_lr,
@@ -172,32 +170,6 @@ class TestCosineLr:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
-class TestEarlyStopping:
-    def test_monotone_decrease_never_stops(self):
-        stopper = EarlyStopping(patience=3)
-        for i in range(100):
-            assert stopper.update(1.0 / (i + 1)) is StopSignal.CONTINUE
-
-    def test_constant_loss_patience_walkthrough(self):
-        # patience 3: epochs 0..3 continue, epoch 4 is the first stop
-        stopper = EarlyStopping(patience=3)
-        signals = [stopper.update(0.7) for _ in range(5)]
-        assert signals == [StopSignal.CONTINUE] * 4 + [StopSignal.STOP]
-
-    def test_nan_is_error(self):
-        stopper = EarlyStopping(patience=3)
-        assert stopper.update(float("nan")) is StopSignal.ERROR
-
-    def test_improvement_resets_counter(self):
-        stopper = EarlyStopping(patience=2)
-        assert stopper.update(1.0) is StopSignal.CONTINUE
-        assert stopper.update(1.0) is StopSignal.CONTINUE
-        assert stopper.update(0.5) is StopSignal.CONTINUE
-        assert stopper.update(0.5) is StopSignal.CONTINUE
-        assert stopper.update(0.5) is StopSignal.CONTINUE
-        assert stopper.update(0.5) is StopSignal.STOP
-
-
 class TestTrainConfig:
     @pytest.mark.parametrize("kwargs, field", [
         ({"max_epochs": 0, "patience": 0}, "max_epochs"),
@@ -215,6 +187,23 @@ class TestTrainConfig:
     def test_zero_rates_accepted(self):
         config = TrainConfig(lr_init=0.0, lr_min=0.0, weight_decay=0.0)
         assert config.lr_init == config.lr_min == config.weight_decay == 0.0
+
+
+def script_val_losses(monkeypatch, losses):
+    """Make `fit` read `losses[epoch]` as its validation loss (one
+    validation case); training losses stay real, so the parameters move."""
+    epochs = iter(losses)
+
+    def loss(pred, target):
+        out = combined_loss(pred, target)
+        return out if autodiff._grad_enabled else Tensor(np.array(next(epochs)))
+
+    monkeypatch.setattr(training, "combined_loss", loss)
+
+
+def fit_tiny(phantom, max_epochs, patience):
+    cfg = TrainConfig(seed=1, max_epochs=max_epochs, patience=patience, lr_init=3e-3, use_prior=False)
+    return fit([phantom], [phantom], tiny_net_config(in_channels=4), cfg)
 
 
 class TestFit:
@@ -277,6 +266,40 @@ class TestFit:
         cfg = TrainConfig(seed=1, max_epochs=2, patience=2, use_prior=False)
         with pytest.raises(TrainingDivergedError, match="in validation at epoch 0"):
             fit([phantom], [phantom], tiny_net_config(in_channels=4), cfg)
+
+    def test_improvement_resets_the_count(self, phantom, monkeypatch):
+        script_val_losses(monkeypatch, [1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.1])
+        result = fit_tiny(phantom, max_epochs=7, patience=2)
+        assert result.stopped_early
+        assert len(result.history) == 6
+        assert (result.best_epoch, result.best_val_loss) == (2, 0.5)
+
+    def test_equal_loss_is_not_an_improvement(self, phantom, monkeypatch):
+        script_val_losses(monkeypatch, [0.7] * 5)
+        result = fit_tiny(phantom, max_epochs=5, patience=1)
+        assert result.stopped_early
+        assert len(result.history) == 3  # epoch 0 best, then patience+1 equal epochs
+        assert (result.best_epoch, result.best_val_loss) == (0, 0.7)
+
+    def test_falling_loss_runs_to_max_epochs(self, phantom, monkeypatch):
+        script_val_losses(monkeypatch, [1.0, 0.9, 0.8, 0.7, 0.6])
+        result = fit_tiny(phantom, max_epochs=5, patience=0)
+        assert not result.stopped_early
+        assert len(result.history) == 5
+        assert (result.best_epoch, result.best_val_loss) == (4, 0.6)
+
+    def test_best_state_is_from_the_best_epoch(self, phantom, monkeypatch):
+        script_val_losses(monkeypatch, [1.0, 0.5, 0.8, 0.9])
+        result = fit_tiny(phantom, max_epochs=4, patience=5)
+        assert result.best_epoch == 1
+        # fit is deterministic, so a run cut after epoch 1 ends on the best parameters
+        script_val_losses(monkeypatch, [1.0, 0.5])
+        at_best = fit_tiny(phantom, max_epochs=2, patience=5).net.state_dict()
+        final = result.net.state_dict()
+        assert result.best_state.keys() == at_best.keys()
+        for name, value in at_best.items():
+            np.testing.assert_array_equal(result.best_state[name], value)
+        assert any(not np.array_equal(final[name], value) for name, value in at_best.items())
 
     def test_history_format(self):
         from voxseg.training import EpochStats
