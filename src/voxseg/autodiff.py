@@ -2,7 +2,7 @@
 
 Every numeric primitive the segmentation network needs lives here:
 3D (dilated) convolution, transposed convolution, max pooling, group
-normalization, dropout, activations, einsum-style contraction and the
+normalization, dropout, activations, batched matrix product and the
 elementwise/reduction plumbing. Tensors carry float32 data for training
 and inference; a float64 path exists solely for finite-difference
 gradient checking (`grad_check`).
@@ -665,53 +665,20 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# generalized contraction (einsum over two operands)
+# batched matrix product
 # ---------------------------------------------------------------------------
 
 
-def _parse_contract_spec(spec: str) -> tuple[str, str, str]:
-    try:
-        ins, out = spec.replace(" ", "").split("->")
-        a_spec, b_spec = ins.split(",")
-    except ValueError as exc:
-        raise ValueError(f"bad contraction spec {spec!r}; expected 'ab,bc->ac' form") from exc
-    for s in (a_spec, b_spec):
-        if len(set(s)) != len(s):
-            raise ValueError(f"repeated axis label within one operand in {spec!r}")
-    for ch in a_spec:
-        if ch not in out and ch not in b_spec:
-            raise ValueError(f"axis {ch!r} of first operand appears nowhere else in {spec!r}")
-    for ch in b_spec:
-        if ch not in out and ch not in a_spec:
-            raise ValueError(f"axis {ch!r} of second operand appears nowhere else in {spec!r}")
-    for ch in out:
-        if ch not in a_spec and ch not in b_spec:
-            raise ValueError(f"output axis {ch!r} not present in inputs in {spec!r}")
-    return a_spec, b_spec, out
-
-
-def contract(a: Tensor, b: Tensor, spec: str) -> Tensor:
-    """Batched generalized product of two tensors, einsum-style.
-
-    `spec` names the axes, e.g. "bin,bjn->bij" contracts over n. Shared
-    labels must have equal extents. Covers both attention patterns
-    (gram matrix and attention-times-values) plus ordinary matmul.
-    """
-    a_spec, b_spec, out_spec = _parse_contract_spec(spec)
-    if len(a_spec) != a.ndim or len(b_spec) != b.ndim:
-        raise ValueError(f"spec {spec!r} does not match operand ranks {a.ndim}, {b.ndim}")
-    extents: dict[str, int] = {}
-    for s, t in ((a_spec, a), (b_spec, b)):
-        for ch, n in zip(s, t.shape):
-            if extents.setdefault(ch, n) != n:
-                raise ValueError(f"axis {ch!r} extent mismatch: {extents[ch]} vs {n}")
+def contract(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
+    """Batched matrix product `a @ b`, or `a @ bᵀ` with `transpose_b`, as in
+    `np.matmul`: channel attention's gram matrix `k @ qᵀ` and mix `attn @ v`."""
     _check_same_dtype(a, b)
-    data = np.einsum(spec, a.data, b.data, optimize=True)
+    data = np.matmul(a.data, b.data.swapaxes(-1, -2) if transpose_b else b.data)
 
     def rule(g):
-        ga = np.einsum(f"{out_spec},{b_spec}->{a_spec}", g, b.data, optimize=True)
-        gb = np.einsum(f"{out_spec},{a_spec}->{b_spec}", g, a.data, optimize=True)
-        return [(a, ga), (b, gb)]
+        if transpose_b:  # out = a @ bᵀ
+            return [(a, np.matmul(g, b.data)), (b, np.matmul(g.swapaxes(-1, -2), a.data))]
+        return [(a, np.matmul(g, b.data.swapaxes(-1, -2))), (b, np.matmul(a.data.swapaxes(-1, -2), g))]
 
     return _make(data, (a, b), rule, "contract")
 

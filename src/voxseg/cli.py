@@ -142,8 +142,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="score a prediction against labels")
     _add_global_flags(p, suppress=True)
-    p.add_argument("--pred", required=True, help="SG3D: 3-channel region masks or coded labels")
-    p.add_argument("--labels", required=True, help="SG3D coded labels")
+    p.add_argument("--pred", required=True, help="SG3D: 3-channel 0/1 region masks or 1-channel coded labels")
+    p.add_argument("--labels", required=True, help="SG3D: 1-channel coded labels")
     p.add_argument("--out", required=True, help="metric report text file")
     p.add_argument("--spacing", type=str, default="1,1,1")
 
@@ -191,11 +191,15 @@ def _load_case(img_path: Path, lbl_path: Path | None) -> MultiModalVolume:
     _, grids = read_volume(img_path)
     if grids.shape[0] != 4:
         raise ValueError(f"{img_path}: expected 4 modality channels, found {grids.shape[0]}")
-    labels = None
-    if lbl_path is not None:
-        _, lbl = read_volume(lbl_path)
-        labels = lbl[0]
+    labels = None if lbl_path is None else _read_labels(lbl_path)
     return MultiModalVolume(grids.astype(np.float32), labels)
+
+
+def _read_labels(path: Path) -> np.ndarray:
+    _, lbl = read_volume(path)
+    if lbl.shape[0] != 1:
+        raise ValueError(f"{path}: labels must have 1 channel, found {lbl.shape[0]}")
+    return lbl[0]
 
 
 def _dataset_cases(data_dir: Path) -> list[tuple[Path, Path]]:
@@ -340,14 +344,16 @@ def _parse_spacing(text: str) -> tuple[float, float, float]:
 def _cmd_eval(args) -> int:
     spacing = _parse_spacing(args.spacing)
     _, pred = read_volume(Path(args.pred))
-    _, labels = read_volume(Path(args.labels))
+    labels = _read_labels(Path(args.labels))
     if pred.shape[0] == len(REGIONS):
+        if not np.isin(pred, (0, 1)).all():
+            raise ValueError(f"{args.pred}: a 3-channel prediction must be 0/1 masks (infer's masks.sg3d)")
         masks = RegionMasks(*(pred > 0))
     elif pred.shape[0] == 1:
         masks = compose_regions(pred[0])
     else:
         raise ValueError(f"prediction must have 1 or {len(REGIONS)} channels, found {pred.shape[0]}")
-    report = evaluate_case(masks, labels[0], spacing)
+    report = evaluate_case(masks, labels, spacing)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(report.to_text())

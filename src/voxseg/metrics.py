@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .volume_io import LABEL_CODES
+from .volume_io import check_label_codes
 
 __all__ = [
     "REGIONS",
@@ -98,10 +98,7 @@ class MetricReport:
 def compose_regions(labels: np.ndarray) -> RegionMasks:
     """ET = {4}, TC = {1, 4}, WT = {1, 2, 4} from a coded label grid."""
     labels = np.asarray(labels)
-    present = set(np.unique(labels).tolist())
-    unknown = present - LABEL_CODES
-    if unknown:
-        raise ValueError(f"unknown label codes {sorted(unknown)}")
+    check_label_codes(labels)
     return RegionMasks(et=labels == 4, wt=labels > 0, tc=(labels == 1) | (labels == 4))
 
 

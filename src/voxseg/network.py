@@ -276,11 +276,11 @@ class AdaptiveAttention(Module):
         k = reshape(dropout(self.proj_k.forward(x), self.rate, rng), (b, c, n))
         q = reshape(dropout(self.proj_q.forward(x), self.rate, rng), (b, c, n))
         scale = 1.0 / float(np.sqrt(n))
-        logits = mul(contract(k, q, "bin,bjn->bij"), Tensor(np.asarray(scale, dtype=x.dtype)))
+        logits = mul(contract(k, q, transpose_b=True), Tensor(np.asarray(scale, dtype=x.dtype)))
         del k, q
         v = reshape(dropout(self.proj_v.forward(x), self.rate, rng), (b, c, n))
         attn = softmax(logits, axis=2)
-        mixed = contract(attn, v, "bij,bjn->bin")
+        mixed = contract(attn, v)
         del v
         mixed = reshape(mixed, x.shape)
         gate = reshape(self.gate, (1, c, 1, 1, 1))

@@ -128,8 +128,8 @@ def _check_contract(rng):
     v = _randt(rng, (2, 3, 5))
 
     def f():
-        attn = softmax(contract(k, q, "bin,bjn->bij"), axis=2)
-        return _sumsq(contract(attn, v, "bij,bjn->bin"))
+        attn = softmax(contract(k, q, transpose_b=True), axis=2)
+        return _sumsq(contract(attn, v))
 
     return f, [k, q, v]
 

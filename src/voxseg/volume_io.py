@@ -28,8 +28,8 @@ __all__ = [
     "VolumeHeader",
     "MultiModalVolume",
     "VolumeFormatError",
-    "MODALITY_NAMES",
     "LABEL_CODES",
+    "check_label_codes",
     "read_volume",
     "write_volume",
     "export_slice_pgm",
@@ -41,12 +41,19 @@ DTYPE_FLOAT32 = 1
 DTYPE_UINT8 = 2
 _HEADER = struct.Struct("<4sIIIIII")
 
-MODALITY_NAMES = ("flair", "t1ce", "t1", "t2")
+_DTYPE_BY_CODE = {DTYPE_FLOAT32: np.dtype("<f4"), DTYPE_UINT8: np.dtype("u1")}
+_CODE_BY_KIND = {"f": DTYPE_FLOAT32, "u": DTYPE_UINT8}
+
 # 0 background, 1 necrosis, 2 edema, 4 enhancing tumor
 LABEL_CODES = frozenset({0, 1, 2, 4})
 
-_DTYPE_BY_CODE = {DTYPE_FLOAT32: np.dtype("<f4"), DTYPE_UINT8: np.dtype("u1")}
-_CODE_BY_KIND = {"f": DTYPE_FLOAT32, "u": DTYPE_UINT8}
+
+def check_label_codes(labels: np.ndarray) -> None:
+    """Raise ValueError if a value is no label code; the message counts them and shows at most 5."""
+    unknown = np.setdiff1d(labels, sorted(LABEL_CODES)).tolist()
+    if unknown:
+        more = ", ..." if len(unknown) > 5 else ""
+        raise ValueError(f"{len(unknown)} unknown label codes: {', '.join(map(repr, unknown[:5]))}{more}")
 
 
 class VolumeFormatError(Exception):
@@ -92,14 +99,12 @@ class MultiModalVolume:
         if self.modalities.ndim != 4 or self.modalities.shape[0] != 4:
             raise ValueError(f"modalities must be (4, D, H, W), got {self.modalities.shape}")
         if self.labels is not None:
+            check_label_codes(self.labels)  # before the cast, which turns 1.5 into 1
             self.labels = np.asarray(self.labels, dtype=np.uint8)
             if self.labels.shape != self.modalities.shape[1:]:
                 raise ValueError(
                     f"label dims {self.labels.shape} != modality dims {self.modalities.shape[1:]}"
                 )
-            bad = set(np.unique(self.labels).tolist()) - LABEL_CODES
-            if bad:
-                raise ValueError(f"unknown label codes {sorted(bad)}")
 
     @property
     def dims(self) -> tuple[int, int, int]:

@@ -527,22 +527,47 @@ class TestActivations:
 
 class TestContract:
     def test_identity_matrix(self):
+        # a rectangular identity: the wrong transpose would not even fit
         rng = np.random.default_rng(16)
         x = randt(rng, (3, 4))
-        out = contract(x, Tensor(np.eye(4)), "ij,jk->ik")
-        np.testing.assert_allclose(out.data, x.data, atol=1e-12)
+        padded = np.concatenate([x.data, np.zeros((3, 1))], axis=1)
+        np.testing.assert_array_equal(contract(x, Tensor(np.eye(4, 5))).data, padded)
+        np.testing.assert_array_equal(contract(x, Tensor(np.eye(5, 4)), transpose_b=True).data, padded)
 
     def test_two_by_two(self):
         a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        out = contract(a, Tensor(np.eye(2)), "ij,jk->ik")
-        np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
+        b = Tensor(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        np.testing.assert_array_equal(contract(a, b).data, [[1.0, 3.0], [3.0, 7.0]])
+        np.testing.assert_array_equal(contract(a, b, transpose_b=True).data, [[3.0, 2.0], [7.0, 4.0]])
 
     def test_matches_triple_loop(self):
         rng = np.random.default_rng(17)
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 2))
-        got = contract(Tensor(a), Tensor(b), "ij,jk->ik")
-        np.testing.assert_allclose(got.data, matmul_loops(a, b), rtol=1e-12)
+        a = rng.standard_normal((2, 3, 4))
+        b = rng.standard_normal((2, 4, 5))
+        want = np.stack([matmul_loops(a[i], b[i]) for i in range(2)])
+        for transpose_b in (False, True):
+            bb = b.swapaxes(1, 2).copy() if transpose_b else b
+            got = contract(Tensor(a), Tensor(bb), transpose_b=transpose_b)
+            np.testing.assert_allclose(got.data, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("transpose_b", [False, True])
+    def test_gradcheck(self, transpose_b):
+        rng = np.random.default_rng(19)
+        a = randt(rng, (2, 3, 4), requires_grad=True)
+        b = randt(rng, (2, 5, 4) if transpose_b else (2, 4, 5), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 3, 5)))
+        assert grad_check(lambda: (contract(a, b, transpose_b) * w).sum(), [a, b]) < 1e-7
+
+    @pytest.mark.parametrize("transpose_b", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_matmul(self, dtype, transpose_b):
+        rng = np.random.default_rng(20)
+        a = rng.standard_normal((2, 8, 300)).astype(dtype)
+        b = rng.standard_normal((2, 8, 300) if transpose_b else (2, 300, 8)).astype(dtype)
+        want = np.matmul(a, b.swapaxes(1, 2) if transpose_b else b)
+        got = contract(Tensor(a), Tensor(b), transpose_b).data
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
 
     def test_attention_patterns_gradcheck(self):
         rng = np.random.default_rng(18)
@@ -551,19 +576,16 @@ class TestContract:
         v = randt(rng, (2, 3, 5), requires_grad=True)
 
         def f():
-            attn = softmax(contract(k, q, "bin,bjn->bij"), axis=2)
-            mixed = contract(attn, v, "bij,bjn->bin")
+            attn = softmax(contract(k, q, transpose_b=True), axis=2)
+            mixed = contract(attn, v)
             return (mixed * mixed).sum()
 
         assert grad_check(f, [k, q, v]) < 1e-6
 
     def test_extent_mismatch_raises(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            contract(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), "ij,jk->ik")
-
-    def test_dangling_axis_raises(self):
-        with pytest.raises(ValueError, match="appears nowhere"):
-            contract(Tensor(np.ones((2, 3))), Tensor(np.ones((2,))), "ij,i->i")
+        for transpose_b in (False, True):
+            with pytest.raises(ValueError, match="mismatch"):
+                contract(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), transpose_b)
 
 
 class TestGlobalAvgPool:

@@ -229,6 +229,55 @@ class TestEvalCommand:
         report = MetricReport.from_text(out.read_text())
         assert report.dice_wt == 1.0
 
+    def test_probability_map_prediction_rejected(self, dataset, tmp_path, capsys):
+        # infer's mean.sg3d is not a mask volume; thresholding it at 0 scored near 0
+        from voxseg.metrics import compose_regions
+        from voxseg.volume_io import write_volume
+
+        _, labels = read_volume(dataset / "case_000_lbl.sg3d")
+        masks = compose_regions(labels[0]).stack()
+        pred_path = tmp_path / "mean.sg3d"
+        write_volume(pred_path, np.where(masks, 0.9, 0.1).astype(np.float32))
+        out = tmp_path / "report.txt"
+        rc = main(["eval", "--pred", str(pred_path), "--labels",
+                   str(dataset / "case_000_lbl.sg3d"), "--out", str(out)])
+        assert rc == 2
+        assert str(pred_path) in capsys.readouterr().err
+        assert not out.exists()
+        # the same masks as float 0/1 are scored
+        write_volume(pred_path, masks.astype(np.float32))
+        assert main(["eval", "--pred", str(pred_path), "--labels",
+                     str(dataset / "case_000_lbl.sg3d"), "--out", str(out)]) == 0
+        assert MetricReport.from_text(out.read_text()).dice_et == 1.0
+
+    @pytest.mark.parametrize("channels", [3, 4])
+    def test_multichannel_labels_rejected(self, dataset, tmp_path, capsys, channels):
+        from voxseg.volume_io import write_volume
+
+        _, labels = read_volume(dataset / "case_000_lbl.sg3d")
+        labels_path = tmp_path / "labels.sg3d"
+        write_volume(labels_path, np.repeat(labels, channels, axis=0))
+        out = tmp_path / "report.txt"
+        rc = main(["eval", "--pred", str(dataset / "case_000_lbl.sg3d"), "--labels",
+                   str(labels_path), "--out", str(out)])
+        assert rc == 2
+        assert f"{labels_path}: labels must have 1 channel, found {channels}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_image_as_labels_gives_a_short_message(self, dataset, tmp_path, capsys):
+        from voxseg.volume_io import write_volume
+
+        _, img = read_volume(dataset / "case_000_img.sg3d")
+        labels_path = tmp_path / "flair.sg3d"
+        write_volume(labels_path, img[:1])
+        out = tmp_path / "report.txt"
+        rc = main(["eval", "--pred", str(dataset / "case_000_lbl.sg3d"), "--labels",
+                   str(labels_path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown label codes" in err and len(err) < 200
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("spacing", ["1,x,1", "1,0,1", "1,-2,1", "1,nan,1", "1,1", "1,1,1,1"])
     def test_bad_spacing_is_usage_error(self, dataset, tmp_path, capsys, spacing):
@@ -247,6 +296,19 @@ class TestStatsCommand:
         assert rc == 0
         text = out.read_text()
         assert "median=" in text and "case_0=" in text
+
+    def test_multichannel_label_file_rejected(self, dataset, tmp_path, capsys):
+        from voxseg.volume_io import write_volume
+
+        data = tmp_path / "data"
+        data.mkdir()
+        shutil.copy(dataset / "case_000_img.sg3d", data)
+        _, labels = read_volume(dataset / "case_000_lbl.sg3d")
+        write_volume(data / "case_000_lbl.sg3d", np.repeat(labels, 3, axis=0))
+        out = tmp_path / "stats.txt"
+        assert main(["stats", "--data", str(data), "--out", str(out)]) == 2
+        assert f"{data / 'case_000_lbl.sg3d'}: labels must have 1 channel, found 3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGradcheckCommand:

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from voxseg.metrics import compose_regions
 from voxseg.volume_io import (
     DTYPE_FLOAT32,
     SG3D_VERSION,
+    MultiModalVolume,
     VolumeFormatError,
+    check_label_codes,
     export_slice_pgm,
     read_volume,
     write_volume,
@@ -137,3 +140,32 @@ class TestPgmExport:
     def test_bad_range(self, tmp_path):
         with pytest.raises(ValueError, match="lo < hi"):
             export_slice_pgm(np.zeros((2, 2, 2)), "axial", 0, (1.0, 1.0), tmp_path / "x.pgm")
+
+
+class TestLabelCodes:
+    def test_known_codes_pass(self):
+        check_label_codes(np.array([0, 1, 2, 4, 4, 0], dtype=np.uint8))
+        check_label_codes(np.array([0.0, 4.0], dtype=np.float32))
+
+    def test_message_counts_and_shows_at_most_five(self):
+        with pytest.raises(ValueError) as exc:
+            check_label_codes(np.arange(1000.0) / 7)  # 0/7, 7/7, 14/7 and 28/7 are codes
+        message = str(exc.value)
+        assert message.startswith("996 unknown label codes: ") and message.endswith(", ...")
+        assert len(message.split(": ")[1].split(", ")) == 6  # five values and the ellipsis
+
+    def test_few_unknown_codes_are_all_shown(self):
+        with pytest.raises(ValueError, match=r"^2 unknown label codes: 3, 7$"):
+            check_label_codes(np.array([0, 3, 7, 3], dtype=np.uint8))
+
+    @pytest.mark.parametrize("value", [1.5, 4.5, 256.0])
+    def test_volume_checks_labels_before_the_uint8_cast(self, value):
+        # the cast alone turns these into the codes 1, 4 and (on x86) 0
+        with pytest.raises(ValueError, match=f"^1 unknown label codes: {value!r}$"):
+            MultiModalVolume(np.zeros((4, 2, 2, 2)), np.full((2, 2, 2), value))
+
+    def test_both_readers_of_labels_use_it(self):
+        labels = np.arange(4 * 4 * 4, dtype=np.uint8).reshape(4, 4, 4) + 5
+        for check in (compose_regions, lambda lbl: MultiModalVolume(np.zeros((4, 4, 4, 4)), lbl)):
+            with pytest.raises(ValueError, match=r"^64 unknown label codes: 5, 6, 7, 8, 9, \.\.\.$"):
+                check(labels)
