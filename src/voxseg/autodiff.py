@@ -303,16 +303,10 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
 
 def tsum(x: Tensor, axis=None) -> Tensor:
     data = np.sum(x.data, axis=axis)
-    shape = x.shape
 
     def rule(g):
-        if axis is None:
-            return [(x, np.broadcast_to(g, shape).astype(x.dtype))]
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        kept = list(shape)
-        for ax in axes:
-            kept[ax % len(shape)] = 1
-        return [(x, np.broadcast_to(g.reshape(kept), shape).astype(x.dtype))]
+        kept = g if axis is None else np.expand_dims(g, axis)
+        return [(x, np.broadcast_to(kept, x.shape).astype(x.dtype))]
 
     return _make(data, (x,), rule, "sum")
 
@@ -540,41 +534,45 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1) -> Tensor
     return _make(out_data, (x, weight, bias), rule, "conv3d")
 
 
+def _blocks(x: np.ndarray) -> np.ndarray:
+    """(B, C, 2D, 2H, 2W) -> (B, 8, C, D, H, W): the non-overlapping 2x2x2
+    blocks, axis 1 walking the offsets (i, j, l) in scan order."""
+    B, C, D, H, W = x.shape
+    blocks = x.reshape(B, C, D // 2, 2, H // 2, 2, W // 2, 2).transpose(0, 3, 5, 7, 1, 2, 4, 6)
+    return blocks.reshape(B, 8, C, D // 2, H // 2, W // 2)
+
+
+def _unblocks(blocks: np.ndarray) -> np.ndarray:
+    """Inverse of `_blocks`: (B, 8, C, D, H, W) -> (B, C, 2D, 2H, 2W)."""
+    B, _, C, D, H, W = blocks.shape
+    x = blocks.reshape(B, 2, 2, 2, C, D, H, W).transpose(0, 4, 5, 1, 6, 2, 7, 3)
+    return x.reshape(B, C, 2 * D, 2 * H, 2 * W)
+
+
 def conv_transpose3d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Stride-2 transposed convolution with a 2x2x2 kernel, no padding.
 
-    Each spatial extent exactly doubles; the output tiles do not overlap,
-    so the forward pass is a pure scatter of weighted input voxels.
-    `weight` is (Cin, Cout, 2, 2, 2).
+    Each spatial extent doubles and the output's 2x2x2 blocks do not overlap:
+    one batched matmul runs each kernel offset's (Cout, Cin) GEMM, and
+    `_unblocks` lays the results out. `weight` is (Cin, Cout, 2, 2, 2).
     """
     if x.ndim != 5 or weight.ndim != 5 or weight.shape[2:] != (2, 2, 2):
         raise ValueError(f"conv_transpose3d expects (Cin,Cout,2,2,2) weight, got {weight.shape}")
     B, Cin, D, H, W = x.shape
-    if min(D, H, W) < 1:
-        raise ValueError(f"non-positive spatial extents {(D, H, W)}")
     if Cin != weight.shape[0]:
         raise ValueError(f"input channels {Cin} != weight channels {weight.shape[0]}")
     Cout = weight.shape[1]
     _check_same_dtype(x, weight, bias)
 
-    xm = x.data.reshape(B, Cin, -1)
-    out = np.empty((B, Cout, 2 * D, 2 * H, 2 * W), dtype=x.dtype)
-    for i in range(2):
-        for j in range(2):
-            for l in range(2):
-                piece = np.matmul(weight.data[:, :, i, j, l].T, xm).reshape(B, Cout, D, H, W)
-                out[:, :, i::2, j::2, l::2] = piece
+    xm = x.data.reshape(B, 1, Cin, -1)
+    w8 = weight.data.reshape(Cin, Cout, 8).transpose(2, 0, 1)  # (8, Cin, Cout), a view
+    out = _unblocks(np.matmul(w8.swapaxes(1, 2), xm).reshape(B, 8, Cout, D, H, W))
     out += bias.data.reshape(1, Cout, 1, 1, 1)
 
     def rule(g):
-        gx = np.zeros_like(x.data)
-        gw = np.zeros_like(weight.data)
-        for i in range(2):
-            for j in range(2):
-                for l in range(2):
-                    gs = np.ascontiguousarray(g[:, :, i::2, j::2, l::2]).reshape(B, Cout, -1)
-                    gx += np.matmul(weight.data[:, :, i, j, l], gs).reshape(x.shape)
-                    gw[:, :, i, j, l] = np.matmul(xm, gs.transpose(0, 2, 1)).sum(axis=0)
+        g8 = _blocks(g).reshape(B, 8, Cout, -1)
+        gx = np.matmul(w8, g8).sum(axis=1).reshape(x.shape)  # numpy adds axis 1 in offset order
+        gw = np.matmul(xm, g8.swapaxes(2, 3)).sum(axis=0).transpose(1, 2, 0).reshape(weight.shape)
         return [(x, gx), (weight, gw), (bias, g.sum(axis=(0, 2, 3, 4)))]
 
     return _make(out, (x, weight, bias), rule, "conv_transpose3d")
@@ -583,29 +581,19 @@ def conv_transpose3d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 def maxpool3d(x: Tensor) -> Tensor:
     """2x2x2 max pooling with stride 2; spatial extents must be even.
 
-    Backward routes the gradient to the first-in-scan-order argmax voxel
-    of each block.
+    The max is taken over axis 1 of `_blocks(x)`, the block layout
+    `conv_transpose3d` writes through. Backward routes the gradient to the
+    first-in-scan-order argmax voxel of each block.
     """
-    B, C, D, H, W = x.shape
-    if D % 2 or H % 2 or W % 2:
-        raise ValueError(f"maxpool3d needs even spatial extents, got {(D, H, W)}")
-    blocks = (
-        x.data.reshape(B, C, D // 2, 2, H // 2, 2, W // 2, 2)
-        .transpose(0, 1, 2, 4, 6, 3, 5, 7)
-        .reshape(B, C, D // 2, H // 2, W // 2, 8)
-    )
-    arg = _pin_selection(lambda: np.argmax(blocks, axis=-1).astype(np.uint8))
-    data = np.take_along_axis(blocks, arg[..., None], axis=-1)[..., 0]
+    if any(n % 2 for n in x.shape[2:]):
+        raise ValueError(f"maxpool3d needs even spatial extents, got {x.shape[2:]}")
+    blocks = _blocks(x.data)
+    arg = _pin_selection(lambda: np.argmax(blocks, axis=1).astype(np.uint8))
+    data = np.take_along_axis(blocks, arg[:, None], axis=1)[:, 0]
 
     def rule(g):
-        onehot = (np.arange(8, dtype=np.uint8) == arg[..., None]).astype(x.dtype)
-        gb = onehot * g[..., None]
-        gx = (
-            gb.reshape(B, C, D // 2, H // 2, W // 2, 2, 2, 2)
-            .transpose(0, 1, 2, 5, 3, 6, 4, 7)
-            .reshape(B, C, D, H, W)
-        )
-        return [(x, np.ascontiguousarray(gx))]
+        onehot = np.arange(8, dtype=np.uint8).reshape(8, 1, 1, 1, 1) == arg[:, None]
+        return [(x, _unblocks(onehot * g[:, None]))]
 
     return _make(data, (x,), rule, "maxpool3d")
 
@@ -670,9 +658,11 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 
 def contract(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    """Batched matrix product `a @ b`, or `a @ bᵀ` with `transpose_b`, as in
-    `np.matmul`: channel attention's gram matrix `k @ qᵀ` and mix `attn @ v`."""
+    """Batched matrix product `a @ b`, or `a @ bᵀ` with `transpose_b`, over equal
+    batch shapes: channel attention's gram matrix `k @ qᵀ` and mix `attn @ v`."""
     _check_same_dtype(a, b)
+    if a.shape[:-2] != b.shape[:-2]:
+        raise ValueError(f"contract batch shapes differ: {a.shape} and {b.shape}")
     data = np.matmul(a.data, b.data.swapaxes(-1, -2) if transpose_b else b.data)
 
     def rule(g):

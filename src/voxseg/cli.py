@@ -34,6 +34,7 @@ from .training import (
 from .verify import run_gradient_checks
 from .volume_io import (
     MultiModalVolume,
+    check_label_codes,
     export_slice_pgm,
     read_volume,
     write_volume,
@@ -345,11 +346,13 @@ def _cmd_eval(args) -> int:
     spacing = _parse_spacing(args.spacing)
     _, pred = read_volume(Path(args.pred))
     labels = _read_labels(Path(args.labels))
+    check_label_codes(labels, f"--labels {Path(args.labels).name}")
     if pred.shape[0] == len(REGIONS):
         if not np.isin(pred, (0, 1)).all():
             raise ValueError(f"{args.pred}: a 3-channel prediction must be 0/1 masks (infer's masks.sg3d)")
         masks = RegionMasks(*(pred > 0))
     elif pred.shape[0] == 1:
+        check_label_codes(pred[0], f"--pred {Path(args.pred).name}")
         masks = compose_regions(pred[0])
     else:
         raise ValueError(f"prediction must have 1 or {len(REGIONS)} channels, found {pred.shape[0]}")

@@ -319,6 +319,12 @@ class _DecoderStage(Module):
         return self.block.forward(merged, rng)
 
 
+# layer_manifest's kind of each macro-block module type
+_KINDS = {MultiScaleFusion: "multiscale_block", PlainConvBlock: "conv_block",
+          ConvTranspose3d: "transposed_conv", SkipRecalibration: "skip_recalibration",
+          AdaptiveAttention: "adaptive_attention"}
+
+
 class TumorSegNet(Module):
     """Encoder-decoder network producing three sigmoid region channels."""
 
@@ -359,22 +365,17 @@ class TumorSegNet(Module):
         return sigmoid(self.head.forward(x))
 
     def layer_manifest(self) -> list[tuple[str, str]]:
-        """Ordered (name, kind) description of the macro blocks."""
-        kind = "multiscale_block" if self.config.use_msff else "conv_block"
+        """Ordered (name, kind) description of the macro blocks, read from
+        the modules the network holds."""
         entries = []
-        for i in range(4):
-            entries.append((f"encoder{i}", kind))
-            if i < 3:
+        for i, enc in enumerate(self.encoders):
+            entries.append((f"encoder{i}", _KINDS[type(enc)]))
+            if i < len(self.encoders) - 1:
                 entries.append((f"pool{i}", "maxpool"))
-        for i, stage_idx in enumerate((2, 1, 0)):
-            name = f"decoder{stage_idx}"
-            entries.append((f"{name}.upsample", "transposed_conv"))
-            entries.append((f"{name}.skip", "skip_recalibration"))
-            if self.config.use_aam:
-                entries.append((f"{name}.attention", "adaptive_attention"))
-            entries.append((f"{name}.block", kind))
-        entries.append(("head", "output_head"))
-        return entries
+        for stage, lvl in zip(self.decoders, (2, 1, 0)):
+            parts = {"upsample": stage.up, "skip": stage.skip, "attention": stage.attn, "block": stage.block}
+            entries += [(f"decoder{lvl}.{part}", _KINDS[type(m)]) for part, m in parts.items() if m is not None]
+        return entries + [("head", "output_head")]
 
     def count_flops(self, spatial: tuple[int, int, int]) -> int:
         """Forward multiply-accumulates x2 of the convolutions, transposed

@@ -48,12 +48,13 @@ _CODE_BY_KIND = {"f": DTYPE_FLOAT32, "u": DTYPE_UINT8}
 LABEL_CODES = frozenset({0, 1, 2, 4})
 
 
-def check_label_codes(labels: np.ndarray) -> None:
-    """Raise ValueError if a value is no label code; the message counts them and shows at most 5."""
+def check_label_codes(labels: np.ndarray, source: str = "") -> None:
+    """Raise ValueError if a value is no label code, counting them and showing at most 5 after `source`."""
     unknown = np.setdiff1d(labels, sorted(LABEL_CODES)).tolist()
     if unknown:
-        more = ", ..." if len(unknown) > 5 else ""
-        raise ValueError(f"{len(unknown)} unknown label codes: {', '.join(map(repr, unknown[:5]))}{more}")
+        shown = ", ".join(map(repr, unknown[:5])) + (", ..." if len(unknown) > 5 else "")
+        where = f"{source}: " if source else ""
+        raise ValueError(f"{where}{len(unknown)} unknown label codes: {shown}")
 
 
 class VolumeFormatError(Exception):

@@ -166,6 +166,36 @@ def maxpool3d_int64_argmax(x):
     return out, rule
 
 
+def conv_transpose3d_per_offset(x, w, bias):
+    """Stride-2, 2x2x2 transposed convolution as eight strided GEMMs, one
+    per kernel offset, forward and backward; the rule returns (gx, gw,
+    gbias). The package runs the same eight GEMMs as one batched matmul
+    over its 2x2x2 block layout; its bits must equal these."""
+    B, Cin, D, H, W = x.shape
+    Cout = w.shape[1]
+    xm = x.reshape(B, Cin, -1)
+    out = np.empty((B, Cout, 2 * D, 2 * H, 2 * W), dtype=x.dtype)
+    for i in range(2):
+        for j in range(2):
+            for l in range(2):
+                piece = np.matmul(w[:, :, i, j, l].T, xm).reshape(B, Cout, D, H, W)
+                out[:, :, i::2, j::2, l::2] = piece
+    out += bias.reshape(1, Cout, 1, 1, 1)
+
+    def rule(g):
+        gx = np.zeros_like(x)
+        gw = np.zeros_like(w)
+        for i in range(2):
+            for j in range(2):
+                for l in range(2):
+                    gs = np.ascontiguousarray(g[:, :, i::2, j::2, l::2]).reshape(B, Cout, -1)
+                    gx += np.matmul(w[:, :, i, j, l], gs).reshape(x.shape)
+                    gw[:, :, i, j, l] = np.matmul(xm, gs.transpose(0, 2, 1)).sum(axis=0)
+        return gx, gw, g.sum(axis=(0, 2, 3, 4))
+
+    return out, rule
+
+
 def conv_transpose3d_scatter(x, w, bias=None):
     """Scatter-add oracle for the stride-2, 2x2x2 transposed convolution."""
     B, Cin, D, H, W = x.shape

@@ -30,6 +30,7 @@ from oracles import (
     conv3d_input_grad_loops,
     conv3d_loops,
     conv3d_stored_xp,
+    conv_transpose3d_per_offset,
     conv_transpose3d_scatter,
     dropout_float_mask,
     group_norm_stored_xhat,
@@ -420,8 +421,9 @@ def _accumulated(grad):
 class TestRulesMatchStoredCopies:
     """Rules that keep bool masks and a uint8 argmax, and recompute the
     normalized input and the padding, give the bytes of the reference rules
-    in `oracles` that keep float copies. Each op's rule receives `g` itself:
-    the output is weighted by `g` and summed."""
+    in `oracles` that keep float copies; the block-layout ops give the bytes
+    of their per-offset copies. Each op's rule receives `g` itself: the
+    output is weighted by `g` and summed."""
 
     def test_relu(self, dtype):
         rng = np.random.default_rng(30)
@@ -473,6 +475,20 @@ class TestRulesMatchStoredCopies:
         want, rule = conv3d_stored_xp(x, w, b, dilation)
         leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
         out = conv3d(*leaves, dilation=dilation)
+        backward((out * Tensor(g)).sum())
+        assert out.data.tobytes() == want.tobytes()
+        for leaf, grad in zip(leaves, rule(g)):
+            assert leaf.grad.tobytes() == _accumulated(grad)
+
+    def test_conv_transpose3d(self, dtype):
+        rng = np.random.default_rng(35)
+        x = rng.standard_normal((2, 3, 3, 2, 4)).astype(dtype)
+        w = rng.standard_normal((3, 5, 2, 2, 2)).astype(dtype)
+        b = rng.standard_normal(5).astype(dtype)
+        g = rng.standard_normal((2, 5, 6, 4, 8)).astype(dtype)
+        want, rule = conv_transpose3d_per_offset(x, w, b)
+        leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        out = conv_transpose3d(*leaves)
         backward((out * Tensor(g)).sum())
         assert out.data.tobytes() == want.tobytes()
         for leaf, grad in zip(leaves, rule(g)):
@@ -587,6 +603,12 @@ class TestContract:
             with pytest.raises(ValueError, match="mismatch"):
                 contract(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), transpose_b)
 
+    def test_unequal_batch_shapes_raise(self):
+        a = Tensor(np.ones((1, 3, 4)), requires_grad=True)
+        b = Tensor(np.ones((2, 4, 5)), requires_grad=True)
+        with pytest.raises(ValueError, match=r"\(1, 3, 4\) and \(2, 4, 5\)"):
+            contract(a, b)
+
 
 class TestGlobalAvgPool:
     def test_constant(self):
@@ -640,6 +662,18 @@ class TestElementwise:
         backward((out * Tensor(np.arange(10.0).reshape(2, 5))).sum())
         np.testing.assert_array_equal(a.grad, [[0, 1, 2], [5, 6, 7]])
         np.testing.assert_array_equal(b.grad, [[3, 4], [8, 9]])
+
+    @pytest.mark.parametrize("axis", [None, 1, -1, 3, (0, 2, 3, 4), (0, -1)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sum_gradient_over_axis_forms(self, axis, dtype):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.standard_normal((2, 3, 4, 2, 3)).astype(dtype), requires_grad=True)
+        out = x.sum(axis)
+        w = rng.standard_normal(out.shape).astype(dtype)
+        backward((out * Tensor(w)).sum())
+        kept = np.sum(x.data, axis=axis, keepdims=True).shape
+        assert x.grad.dtype == dtype
+        np.testing.assert_array_equal(x.grad, np.broadcast_to(w.reshape(kept), x.shape))
 
 
 class TestBackward:

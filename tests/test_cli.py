@@ -278,6 +278,20 @@ class TestEvalCommand:
         assert "unknown label codes" in err and len(err) < 200
         assert not out.exists()
 
+    @pytest.mark.parametrize("option", ["--pred", "--labels"])
+    def test_unknown_codes_name_the_option_and_file(self, dataset, tmp_path, capsys, option):
+        from voxseg.volume_io import write_volume
+
+        _, img = read_volume(dataset / "case_000_img.sg3d")
+        flair = tmp_path / "flair.sg3d"
+        write_volume(flair, img[:1])
+        lbl = str(dataset / "case_000_lbl.sg3d")
+        files = {"--pred": lbl, "--labels": lbl, option: str(flair)}
+        out = tmp_path / "report.txt"
+        rc = main(["eval", "--pred", files["--pred"], "--labels", files["--labels"], "--out", str(out)])
+        assert rc == 2
+        assert f"error: {option} flair.sg3d: " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("spacing", ["1,x,1", "1,0,1", "1,-2,1", "1,nan,1", "1,1", "1,1,1,1"])
     def test_bad_spacing_is_usage_error(self, dataset, tmp_path, capsys, spacing):

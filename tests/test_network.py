@@ -18,6 +18,7 @@ from voxseg.network import (
     FeatureCalibration,
     MultiScaleFusion,
     NetworkConfig,
+    PlainConvBlock,
     SkipRecalibration,
     TumorSegNet,
     count_params,
@@ -389,6 +390,17 @@ class TestAblationManifest:
         no_msff = TumorSegNet(small_cfg(use_msff=False), seed=0)
         kinds = [kind for _, kind in no_msff.layer_manifest()]
         assert kinds.count("adaptive_attention") == 3 and kinds.count("conv_block") == 7
+
+    def test_manifest_reads_the_built_modules(self):
+        cfg = small_cfg()
+        net = TumorSegNet(cfg, seed=0)
+        net.decoders[0].attn = None
+        net.decoders[2].block = PlainConvBlock(8, 4, cfg, np.random.default_rng(0))
+        manifest = dict(net.layer_manifest())
+        assert "decoder2.attention" not in manifest
+        assert manifest["decoder1.attention"] == "adaptive_attention"
+        assert manifest["decoder0.block"] == "conv_block"
+        assert manifest["decoder1.block"] == "multiscale_block"
 
 
 class TestAccounting:
