@@ -112,10 +112,9 @@ def no_grad():
 
 
 def _as_float_array(data) -> np.ndarray:
+    # np.asarray, unlike np.ascontiguousarray, keeps a 0-d array 0-d
     arr = np.asarray(data)
-    if arr.dtype in _FLOAT_DTYPES:
-        return np.ascontiguousarray(arr)
-    return np.ascontiguousarray(arr, dtype=np.float32)
+    return np.asarray(arr, dtype=None if arr.dtype in _FLOAT_DTYPES else np.float32, order="C")
 
 
 class Tensor:
@@ -720,6 +719,7 @@ def backward(loss: Tensor) -> None:
         for parent, pg in node._backward_rule(g):
             if not parent.requires_grad:
                 continue
+            pg = np.asarray(pg)  # a product of 0-d arrays is a read-only numpy scalar
             if pg.shape != parent.shape:
                 raise AssertionError(f"gradient shape {pg.shape} != parent shape {parent.shape}")
             acc = grads.get(id(parent))

@@ -693,6 +693,16 @@ class TestBackward:
         backward(x.sum())
         np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
 
+    def test_full_reductions_are_0d(self):
+        a = np.ones((2, 3))
+        assert Tensor(a).sum().shape == Tensor(np.sum(a)).shape == Tensor(a).mean().shape == ()
+
+    def test_0d_gradients_accumulate(self):
+        # both of mul's gradients are numpy scalars, sent to the one 0-d leaf
+        x = Tensor(np.asarray(3.0), requires_grad=True)
+        backward(x * x)
+        assert x.grad.shape == () and x.grad == 6.0
+
     def test_non_scalar_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
