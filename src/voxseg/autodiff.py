@@ -15,6 +15,12 @@ data the tape already holds: relu and dropout keep bool masks, maxpool a
 uint8 argmax, group_norm recomputes its normalized input and conv3d its
 zero padding. The recomputation repeats the forward's own float
 operations, so gradients are bitwise those of stored copies.
+
+conv3d's forward and input gradient are im2col GEMMs built one depth slab
+at a time. Its weight gradient builds no patch matrix: for k > 1 it is one
+GEMM per kernel offset between g and a shifted view of the padded input,
+both laid out on one flat padded grid (the kn2row family of low-memory
+GEMM convolutions), so its peak is padded copies of x and g.
 """
 
 from __future__ import annotations
@@ -429,19 +435,22 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
 _SLAB_BYTES = 4 << 20
 
 
-def _im2col(xp: np.ndarray, k: int, dilation: int) -> np.ndarray:
-    """Materialize sliding k*k*k patches of a padded (B,C,*,*,*) volume.
+def _im2col(xp: np.ndarray, k: int, dilation: int, out: np.ndarray) -> np.ndarray:
+    """Sliding k*k*k patches of a padded (B,C,*,*,*) volume, written into `out`.
 
-    Returns (B, C*k^3, Do*Ho*Wo) for the Do*Ho*Wo windows that fit in `xp`:
-    k^3 copies of the input's C channels, one per kernel offset, i.e.
-    B*C*k^3*Do*Ho*Wo elements (226 MB for 16 float32 channels, k=3, at
-    64x64x32).
+    Returns the prefix of the flat buffer `out` as the (B, C*k^3, Do*Ho*Wo)
+    patch matrix of the Do*Ho*Wo windows that fit in `xp`: k^3 copies of the
+    input's C channels, one per kernel offset. Its one caller is
+    `_conv3d_raw`, one depth slab at a time, for conv3d's forward and its
+    input gradient; the weight gradient builds no patch matrix.
     """
     B, C = xp.shape[:2]
     span = dilation * (k - 1) + 1
     windows = np.lib.stride_tricks.sliding_window_view(xp, (span,) * 3, axis=(2, 3, 4))
-    view = windows[:, :, :, :, :, ::dilation, ::dilation, ::dilation]
-    return np.ascontiguousarray(view.transpose(0, 1, 5, 6, 7, 2, 3, 4)).reshape(B, C * k ** 3, -1)
+    view = windows[:, :, :, :, :, ::dilation, ::dilation, ::dilation].transpose(0, 1, 5, 6, 7, 2, 3, 4)
+    col = out[: view.size].reshape(view.shape)
+    np.copyto(col, view)
+    return col.reshape(B, C * k ** 3, -1)
 
 
 def _pad_same(x: np.ndarray, k: int, dilation: int) -> np.ndarray:
@@ -451,16 +460,20 @@ def _pad_same(x: np.ndarray, k: int, dilation: int) -> np.ndarray:
 
 
 def _conv3d_raw(x: np.ndarray, w: np.ndarray, dilation: int) -> np.ndarray:
-    """Same-padded cross-correlation on raw arrays.
+    """Same-padded cross-correlation on raw arrays: conv3d's forward, and its
+    input gradient as the correlation of g with the flipped kernel.
 
     For k > 1 the output is computed in depth slabs: each slab takes its
-    input rows plus the dilation*(k-1) halo, builds their patch matrix and
-    runs one GEMM straight into its slice of the output. A slab's patch
-    matrix holds at most `_SLAB_BYTES` per batch item (or one output row,
-    if a row is larger): a tile that stays in cache and that the allocator
-    reuses from slab to slab, where one whole Cin*k^3*N matrix (226 MB for
-    a 16-channel conv at 64x64x32) is page-faulted fresh on every call and
-    streamed through memory by the GEMM. Slabs split only the output voxels, never a voxel's reduction
+    input rows plus the dilation*(k-1) halo, writes their patch matrix into
+    one buffer shared by every slab of the call, and runs one GEMM straight
+    into its slice of the output. A slab's patch matrix holds at most
+    `_SLAB_BYTES` per batch item (or one output row, if a row is larger): a
+    tile that stays in cache, where one whole Cin*k^3*N matrix (226 MB for a
+    16-channel conv at 64x64x32) is streamed through memory by the GEMM. One
+    buffer per call, not one array per slab, keeps glibc's allocator from
+    handing out freshly trimmed heap pages slab after slab: a 32x32x16
+    training step took about 870 minor page faults with an array per slab
+    and 4 with the buffer. Slabs split only the output voxels, never a voxel's reduction
     over Cin*k^3, so the result is bitwise that of one full-size GEMM
     wherever the BLAS sums a column independently of where the GEMM starts
     (OpenBLAS's SkylakeX kernels at the network's shapes).
@@ -475,15 +488,49 @@ def _conv3d_raw(x: np.ndarray, w: np.ndarray, dilation: int) -> np.ndarray:
         halo = dilation * (k - 1)
         xp = _pad_same(x, k, dilation)
         wm = w.reshape(Cout, -1)
-        rows = max(1, _SLAB_BYTES // (Cin * k ** 3 * plane * x.itemsize))
+        rows = min(D, max(1, _SLAB_BYTES // (Cin * k ** 3 * plane * x.itemsize)))
+        buf = np.empty(B * Cin * k ** 3 * rows * plane, dtype=x.dtype)
         for d0 in range(0, D, rows):
             n = min(rows, D - d0)
-            col = _im2col(xp[:, :, d0 : d0 + n + halo], k, dilation)
+            col = _im2col(xp[:, :, d0 : d0 + n + halo], k, dilation, buf)
             # a basic slice of the flat voxel axis: a view, never a copy
             dst = out[:, :, d0 * plane : (d0 + n) * plane]
             assert dst.base is out
             np.matmul(wm, col, out=dst)
     return out.reshape(B, Cout, D, H, W)
+
+
+def _conv3d_weight_grad(x: np.ndarray, g: np.ndarray, k: int, dilation: int) -> np.ndarray:
+    """Weight gradient of the same-padded correlation for k > 1, one GEMM per
+    kernel offset over shifted views of the padded input (kn2row).
+
+    `x` is padded again here rather than kept padded on the tape, and `g` is
+    laid onto the first D planes of the same (Hp, Wp) grid, zero elsewhere.
+    On that flat grid output voxel p = d*Hp*Wp + h*Wp + w reads input voxel
+    p + off at offset (a, b, c), off = dilation*(a*Hp*Wp + b*Wp + c); so
+    gw[:, :, a, b, c] is g's first L flat voxels against the padded input's
+    L voxels from `off` on, summed over the batch. L = (D-1)*Hp*Wp +
+    (H-1)*Wp + W, so L + the largest offset is exactly Dp*Hp*Wp and every
+    operand is a view. The grid's padding columns pair zeros of g with
+    whatever the input holds there. Nothing of Cin*k^3*N floats is built:
+    the peak is the padded copies of x and g.
+    """
+    B, Cin = x.shape[:2]
+    Cout, D, H, W = g.shape[1:]
+    xp = _pad_same(x, k, dilation)
+    Dp, Hp, Wp = xp.shape[2:]
+    L = (D - 1) * Hp * Wp + (H - 1) * Wp + W
+    gp = np.zeros((B, Cout, D, Hp, Wp), dtype=g.dtype)
+    gp[:, :, :, :H, :W] = g
+    xf = xp.reshape(B, Cin, -1)
+    step = dilation * xf.itemsize
+    # (B, k, k, k, L, Cin): offset (a, b, c)'s L voxels, channels last
+    shifted = np.lib.stride_tricks.as_strided(
+        xf, (B, k, k, k, L, Cin), (xf.strides[0], step * Hp * Wp, step * Wp, step, xf.itemsize, xf.strides[1]),
+        writeable=False,
+    )
+    gw = np.matmul(gp.reshape(B, 1, 1, 1, Cout, -1)[..., :L], shifted).sum(axis=0)
+    return np.ascontiguousarray(gw.transpose(3, 4, 0, 1, 2))
 
 
 def conv3d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1) -> Tensor:
@@ -514,14 +561,10 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1) -> Tensor
 
     def rule(g):
         gm = g.reshape(B, Cout, -1)
-        # weight gradient: one GEMM against the patch matrix of the input,
-        # padded again here rather than kept padded on the tape
         if k == 1:
-            col = x.data.reshape(B, Cin, -1)
+            gw = np.matmul(gm, x.data.reshape(B, Cin, -1).transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
         else:
-            col = _im2col(_pad_same(x.data, k, dilation), k, dilation)
-        gw = np.matmul(gm, col.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
-        del col  # freed before the input gradient allocates its own slabs
+            gw = _conv3d_weight_grad(x.data, g, k, dilation)
         grads = [(weight, gw), (bias, gm.sum(axis=(0, 2)))]
         if x.requires_grad:
             # input gradient: the same-padded dilated correlation of g with

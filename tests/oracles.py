@@ -70,6 +70,40 @@ def im2col_full(x, k, padding=0, dilation=1):
     return np.ascontiguousarray(view).reshape(B, Cin * k ** 3, -1), out_sp
 
 
+def conv3d_weight_grad_loops(x, g, k, padding=0, dilation=1):
+    """Weight gradient of `conv3d_loops` for output gradient `g`: each kernel
+    offset gathers every output voxel's gradient against the input voxel it
+    read."""
+    D, H, W = x.shape[2:]
+    gw = np.zeros((g.shape[1], x.shape[1], k, k, k))
+    for od, oh, ow in np.ndindex(*g.shape[2:]):
+        for i, j, l in np.ndindex(k, k, k):
+            d, h, ww = od + i * dilation - padding, oh + j * dilation - padding, ow + l * dilation - padding
+            if 0 <= d < D and 0 <= h < H and 0 <= ww < W:
+                gw[:, :, i, j, l] += g[:, :, od, oh, ow].T @ x[:, :, d, h, ww]
+    return gw
+
+
+def conv3d_weight_grad_shifted(xp, g, k, dilation=1):
+    """Weight gradient of a same-padded correlation from its padded input
+    `xp`, one GEMM per kernel offset (kn2row): `g` is laid onto the first
+    planes of xp's (Hp, Wp) grid, zero elsewhere, so offset (i, j, l) pairs
+    g's first n flat voxels with xp's n flat voxels from
+    dilation*(i*Hp*Wp + j*Wp + l) on."""
+    B, Cin, _, Hp, Wp = xp.shape
+    Cout, D, H, W = g.shape[1:]
+    gp = np.zeros((B, Cout, D, Hp, Wp), dtype=g.dtype)
+    gp[:, :, :, :H, :W] = g
+    n = (D - 1) * Hp * Wp + (H - 1) * Wp + W
+    gf = gp.reshape(B, Cout, -1)[:, :, :n]
+    xf = xp.reshape(B, Cin, -1)
+    gw = np.empty((Cout, Cin, k, k, k), dtype=g.dtype)
+    for i, j, l in np.ndindex(k, k, k):
+        off = dilation * (i * Hp * Wp + j * Wp + l)
+        gw[:, :, i, j, l] = np.matmul(gf, xf[:, :, off : off + n].transpose(0, 2, 1)).sum(axis=0)
+    return gw
+
+
 def conv3d_im2col(x, w, bias=None, padding=0, dilation=1):
     """Untiled im2col cross-correlation: one GEMM against the whole patch
     matrix, in the input's precision. Reference for the package's conv3d,
@@ -129,7 +163,8 @@ def group_norm_stored_xhat(x, groups, gamma, beta, eps=1e-5):
 
 def conv3d_stored_xp(x, w, bias, dilation=1):
     """Same-padded conv3d keeping the padded input; the rule returns
-    (gx, gw, gbias), gx from the flipped-kernel correlation."""
+    (gx, gw, gbias), gx from the flipped-kernel correlation and, for k > 1,
+    gw from shifted GEMMs on the stored `xp`."""
     B, Cin = x.shape[:2]
     Cout, _, k = w.shape[:3]
     padding = dilation * (k - 1) // 2
@@ -138,8 +173,10 @@ def conv3d_stored_xp(x, w, bias, dilation=1):
 
     def rule(g):
         gm = g.reshape(B, Cout, -1)
-        col = xp.reshape(B, Cin, -1) if k == 1 else im2col_full(xp, k, 0, dilation)[0]
-        gw = np.matmul(gm, col.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        if k == 1:
+            gw = np.matmul(gm, xp.reshape(B, Cin, -1).transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        else:
+            gw = conv3d_weight_grad_shifted(xp, g, k, dilation)
         wf = np.ascontiguousarray(w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
         return conv3d_im2col(g, wf, None, padding, dilation), gw, gm.sum(axis=(0, 2))
 

@@ -1,5 +1,7 @@
 """Tensor primitive tests: forward examples, oracle agreement, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from oracles import (
     conv3d_input_grad_loops,
     conv3d_loops,
     conv3d_stored_xp,
+    conv3d_weight_grad_loops,
     conv_transpose3d_per_offset,
     conv_transpose3d_scatter,
     dropout_float_mask,
@@ -106,7 +109,7 @@ class TestConv3d:
     def test_same_padding_on_thin_inputs(self, shape, k, dilation):
         rng = np.random.default_rng(9)
         x = randt(rng, shape, requires_grad=True)
-        w = randt(rng, (3, 2, k, k, k))
+        w = randt(rng, (3, 2, k, k, k), requires_grad=True)
         b = randt(rng, (3,))
         pad = dilation * (k - 1) // 2
         y = conv3d(x, w, b, dilation=dilation)
@@ -117,6 +120,8 @@ class TestConv3d:
         backward((y * Tensor(g)).sum())
         want_gx = conv3d_input_grad_loops(g, w.data, x.shape, pad, dilation)
         np.testing.assert_allclose(x.grad, want_gx, rtol=1e-10, atol=1e-10)
+        want_gw = conv3d_weight_grad_loops(x.data, g, k, pad, dilation)
+        np.testing.assert_allclose(w.grad, want_gw, rtol=1e-10, atol=1e-10)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(3)
@@ -152,6 +157,23 @@ class TestConv3d:
         assert len(calls) == 1  # the forward's correlation only
         assert x.grad is None and w.grad is not None
 
+    def test_backward_memory_at_64x64x32(self):
+        """One float32 16->8 conv's backward, input gradient included. The
+        weight gradient's shifted GEMMs need padded copies of x and g; the
+        whole patch matrix (226 MB here) made the peak 229 MiB."""
+        rng = np.random.default_rng(6)
+        x = randt(rng, (1, 16, 64, 64, 32), requires_grad=True, dtype=np.float32)
+        w = randt(rng, (8, 16, 3, 3, 3), requires_grad=True, dtype=np.float32)
+        loss = conv3d(x, w, Tensor(np.zeros(8, dtype=np.float32))).sum()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * (1 << 20), f"{peak / (1 << 20):.1f} MiB peak"
+
     def test_channel_mismatch_raises(self):
         x = Tensor(np.ones((1, 2, 4, 4, 4)))
         w = Tensor(np.ones((1, 3, 3, 3, 3)))
@@ -160,9 +182,12 @@ class TestConv3d:
 
 
 class TestConv3dSlabs:
-    """conv3d tiles its im2col GEMM into depth slabs. A tiny slab budget makes
-    small inputs span many slabs; outputs and gradients must still equal the
-    untiled single GEMM bit for bit.
+    """conv3d tiles its im2col GEMM into depth slabs, in the forward and in
+    the input gradient. A tiny slab budget makes small inputs span many
+    slabs; outputs and input gradients must still equal the untiled single
+    GEMM bit for bit. The weight gradient takes no slabs: its bits must not
+    depend on the budget, and it equals the whole patch matrix's GEMM and
+    the loop oracle to rounding.
 
     The planes here hold a multiple of 16 voxels. On other planes a slab can
     end inside a BLAS column tile, and when a slab GEMM is small enough for
@@ -181,6 +206,26 @@ class TestConv3dSlabs:
         "k5": ((1, 2, 9, 4, 4), 3, 5, 1, 4, np.float32),
     }
 
+    # gw to rounding: relative to its largest entry, from the dtype
+    GW_RTOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+    @staticmethod
+    def _run(x, w, b, g, dilation):
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = conv3d(xt, wt, Tensor(b), dilation=dilation)
+        backward((out * Tensor(g)).sum())
+        return out.data, xt.grad, wt.grad
+
+    @classmethod
+    def _check_weight_grad(cls, x, g, w_grad, k, dilation):
+        padding = dilation * (k - 1) // 2
+        col, _ = im2col_full(x, k, padding, dilation)
+        gemm = np.matmul(g.reshape(*g.shape[:2], -1), col.transpose(0, 2, 1)).sum(axis=0)
+        loops = conv3d_weight_grad_loops(x, g, k, padding, dilation)
+        for want in (gemm.reshape(w_grad.shape), loops):
+            tol = cls.GW_RTOL[x.dtype.type] * np.abs(want).max()
+            np.testing.assert_allclose(w_grad, want, rtol=0, atol=tol)
+
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_bitwise_equal_to_untiled(self, case, monkeypatch):
         shape, cout, k, dilation, rows, dtype = case
@@ -190,25 +235,44 @@ class TestConv3dSlabs:
         w = rng.standard_normal((cout, shape[1], k, k, k)).astype(dtype)
         b = rng.standard_normal(cout).astype(dtype)
         want = conv3d_im2col(x, w, b, padding, dilation)
+        g = rng.standard_normal(want.shape).astype(dtype)
+        whole = self._run(x, w, b, g, dilation)  # one slab each at the default budget
         Do, Ho, Wo = want.shape[2:]
-        monkeypatch.setattr(autodiff, "_SLAB_BYTES", rows * shape[1] * k ** 3 * Ho * Wo * x.itemsize)
+        budget = rows * shape[1] * k ** 3 * Ho * Wo * x.itemsize
+        monkeypatch.setattr(autodiff, "_SLAB_BYTES", budget)
         slabs = []
         im2col = autodiff._im2col
         monkeypatch.setattr(autodiff, "_im2col", lambda *a: slabs.append(a) or im2col(*a))
 
-        xt, wt, bt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True), Tensor(b)
-        out = conv3d(xt, wt, bt, dilation=dilation)
-        assert len(slabs) == -(-Do // rows) > 1
-        assert out.data.tobytes() == want.tobytes()
-
-        g = rng.standard_normal(want.shape).astype(dtype)
-        backward((out * Tensor(g)).sum())
-        col, _ = im2col_full(x, k, padding, dilation)
-        gw = np.matmul(g.reshape(shape[0], cout, -1), col.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-        assert wt.grad.tobytes() == (np.zeros_like(w) + gw).tobytes()
+        out, x_grad, w_grad = self._run(x, w, b, g, dilation)
+        # the forward's slabs over x's channels and the input gradient's over g's
+        gx_rows = max(1, budget // (cout * k ** 3 * Ho * Wo * x.itemsize))
+        assert len(slabs) == -(-Do // rows) + -(-Do // gx_rows) and rows < Do
+        assert out.tobytes() == want.tobytes()
         wf = np.ascontiguousarray(w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
         gx = conv3d_im2col(g, wf, None, padding, dilation)
-        assert xt.grad.tobytes() == (np.zeros_like(x) + gx).tobytes()
+        assert x_grad.tobytes() == (np.zeros_like(x) + gx).tobytes()
+        assert w_grad.tobytes() == whole[2].tobytes()
+        self._check_weight_grad(x, g, w_grad, k, dilation)
+
+    # B=2 on planes that are not a multiple of 16, and large dilated kernels
+    # whose halo exceeds the input's extents
+    @pytest.mark.parametrize("shape,k,dilation,dtype", [
+        ((2, 3, 6, 5, 7), 3, 1, np.float32),
+        ((2, 3, 6, 5, 7), 3, 2, np.float64),
+        ((2, 2, 3, 2, 5), 5, 2, np.float32),
+        ((1, 2, 2, 3, 4), 7, 2, np.float64),
+    ], ids=["b2-odd-plane", "b2-odd-plane-dil2-f64", "k5-dil2-thin", "k7-dil2-thin-f64"])
+    def test_weight_grad_matches_oracles(self, shape, k, dilation, dtype, monkeypatch):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal(shape).astype(dtype)
+        w = rng.standard_normal((3, shape[1], k, k, k)).astype(dtype)
+        b = np.zeros(3, dtype=dtype)
+        g = rng.standard_normal((shape[0], 3) + shape[2:]).astype(dtype)
+        w_grad = self._run(x, w, b, g, dilation)[2]
+        self._check_weight_grad(x, g, w_grad, k, dilation)
+        monkeypatch.setattr(autodiff, "_SLAB_BYTES", 1)  # one output row per slab
+        assert self._run(x, w, b, g, dilation)[2].tobytes() == w_grad.tobytes()
 
     # ids read stride-padding-dilation; conv3d is stride 1 and same-padded
     @pytest.mark.parametrize("dilation", [1, 2], ids=["1-1-1", "1-2-2"])
@@ -464,8 +528,8 @@ class TestRulesMatchStoredCopies:
             assert leaf.grad.tobytes() == _accumulated(grad)
 
     # one depth slab at the default budget, so the forward is one GEMM as in
-    # the reference
-    @pytest.mark.parametrize("k,dilation", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    # the reference; k=5 and k=7 at dilation 2 reach past the 5x6x4 input
+    @pytest.mark.parametrize("k,dilation", [(1, 1), (1, 2), (3, 1), (3, 2), (5, 2), (7, 2)])
     def test_conv3d(self, dtype, k, dilation):
         rng = np.random.default_rng(33)
         x = rng.standard_normal((2, 3, 5, 6, 4)).astype(dtype)

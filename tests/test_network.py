@@ -318,8 +318,10 @@ class TestTapeMemory:
 
         The tape keeps bool masks, a uint8 argmax and no padded or
         normalized copies; with float copies the live size after the
-        forward was 63.9 MiB and the peak 102.1 MiB. numpy reports its
-        buffers to tracemalloc, so both sizes repeat run to run.
+        forward was 63.9 MiB and the peak 102.1 MiB. conv3d's weight
+        gradient builds no patch matrix; with one the peak was 75.6 MiB.
+        numpy reports its buffers to tracemalloc, so both sizes repeat run
+        to run.
         """
         net = TumorSegNet(NetworkConfig(in_channels=5), seed=3)
         rng = np.random.default_rng(0)
@@ -336,7 +338,7 @@ class TestTapeMemory:
             tracemalloc.stop()
         mib = 1 << 20
         assert live <= 52 * mib, f"{live / mib:.1f} MiB live after the forward"
-        assert peak <= 85 * mib, f"{peak / mib:.1f} MiB peak"
+        assert peak <= 62 * mib, f"{peak / mib:.1f} MiB peak"
 
 
 class TestNetworkConfig:
