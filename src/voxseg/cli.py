@@ -192,6 +192,8 @@ def _load_case(img_path: Path, lbl_path: Path | None) -> MultiModalVolume:
     _, grids = read_volume(img_path)
     if grids.shape[0] != 4:
         raise ValueError(f"{img_path}: expected 4 modality channels, found {grids.shape[0]}")
+    if not np.isfinite(grids).all():
+        raise ValueError(f"{img_path}: {np.count_nonzero(~np.isfinite(grids))} non-finite voxels")
     labels = None if lbl_path is None else _read_labels(lbl_path)
     return MultiModalVolume(grids.astype(np.float32), labels)
 
@@ -299,23 +301,27 @@ def _cmd_infer(args) -> int:
     config_path = ckpt_path.parent / "config.json"
     if not config_path.exists():
         raise FileNotFoundError(f"missing {config_path} (written by `voxseg train`)")
-    stored = json.loads(config_path.read_text())
-    net_kwargs = dict(stored["net"])
-    for key, fixed in _RETIRED_NET_SETTINGS.items():
-        if net_kwargs.pop(key, fixed) != fixed:
-            raise ValueError(f"{config_path}: net setting {key} must be {fixed!r} or absent")
-    net_kwargs["stage_widths"] = tuple(net_kwargs["stage_widths"])
-    net_config = NetworkConfig(**net_kwargs)
-    use_prior = stored["train"]["use_prior"]
-    use_mc = stored["train"]["use_mc"]
+    try:
+        stored = json.loads(config_path.read_text())
+        net_kwargs = dict(stored["net"])
+        for key, fixed in _RETIRED_NET_SETTINGS.items():
+            if net_kwargs.pop(key, fixed) != fixed:
+                raise ValueError(f"net setting {key} must be {fixed!r} or absent")
+        net_kwargs["stage_widths"] = tuple(net_kwargs["stage_widths"])
+        net_config = NetworkConfig(**net_kwargs)
+        use_prior, use_mc = stored["train"]["use_prior"], stored["train"]["use_mc"]
+        # regrow the prior exactly as during training (same derived delta)
+        stored_prior = stored.get("prior")
+        prior_config = PriorConfig(**stored_prior) if stored_prior else PriorConfig(rng_seed=args.seed)
+    except KeyError as exc:
+        raise ValueError(f"{config_path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise ValueError(f"{config_path}: {exc}") from None
 
     net = TumorSegNet(net_config, seed=args.seed)
     net.load_state(ckpt.load_checkpoint(ckpt_path))
 
     vol = _load_case(Path(args.img), None)
-    # regrow the prior exactly as during training (same derived delta)
-    stored_prior = stored.get("prior")
-    prior_config = PriorConfig(**stored_prior) if stored_prior else PriorConfig(rng_seed=args.seed)
     x, _ = prepare_case(vol, use_prior, prior_config)
     mc = mc_infer(net, x, n_passes=args.passes, seed=args.seed, use_mc=use_mc)
     out = Path(args.out)

@@ -103,9 +103,10 @@ class TestConv3d:
         assert out.shape == x.shape
 
     # thin inputs: a large dilated kernel reaches past the whole input
-    @pytest.mark.parametrize("shape", [(1, 2, 1, 3, 2), (1, 2, 5, 3, 7)], ids=["1x3x2", "5x3x7"])
+    @pytest.mark.parametrize("shape", [(1, 2, 1, 3, 2), (1, 2, 5, 3, 7), (2, 2, 1, 3, 5), (2, 2, 5, 7, 1)],
+                             ids=["1x3x2", "5x3x7", "b2-1x3x5", "b2-5x7x1"])
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
-    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("dilation", [1, 2, 3])
     def test_same_padding_on_thin_inputs(self, shape, k, dilation):
         rng = np.random.default_rng(9)
         x = randt(rng, shape, requires_grad=True)
@@ -292,6 +293,34 @@ class TestConv3dSlabs:
         monkeypatch.setattr(autodiff, "_SLAB_BYTES", 1)  # one output row per slab
         for got, want in zip(run(), whole):
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+
+class TestTaps:
+    """Every k > 1 conv3d product reads `_taps`, one `as_strided` view that
+    numpy does not bounds-check: its bytes must lie inside the buffer it
+    views. `TestConv3d::test_same_padding_on_thin_inputs` checks the
+    products it feeds against the loop oracles."""
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("dims", [(1, 3, 5), (5, 7, 1)], ids=["1x3x5", "5x7x1"])
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    @pytest.mark.parametrize("dilation", [1, 2, 3])
+    def test_view_lies_inside_its_buffer(self, dilation, k, dims, batch):
+        x = np.random.default_rng(0).standard_normal((batch, 2) + dims)
+        taps = autodiff._taps(x, k, dilation)
+        owner = taps
+        while owner.base is not None:
+            owner = owner.base
+        lo, hi = np.lib.array_utils.byte_bounds(taps)
+        owner_lo, owner_hi = np.lib.array_utils.byte_bounds(owner)
+        assert owner_lo <= lo and hi <= owner_hi
+        assert not taps.flags.writeable
+        # the weight gradient flattens the grid axes: a view, never a copy
+        assert np.may_share_memory(taps.reshape(*taps.shape[:5], -1), taps)
+        # on the output voxels' grid, the view holds the oracle's patches
+        col, _ = im2col_full(x, k, dilation * (k - 1) // 2, dilation)
+        H, W = dims[1:]
+        np.testing.assert_array_equal(np.ascontiguousarray(taps[..., :H, :W]).reshape(col.shape), col)
 
 
 class TestConvTranspose3d:

@@ -159,6 +159,34 @@ class TestInferCommand:
         assert config["prior"] is not None
         assert 0 < config["prior"]["delta"] < 35.0  # derived from phantom labels
 
+    @pytest.mark.parametrize("damage, named", [
+        ("missing-key", "missing key 'use_mc'"),
+        ("unknown-prior-key", "unexpected keyword argument 'bogus'"),
+        ("invalid-json", "Expecting"),
+    ])
+    def test_malformed_config_names_file_without_output(self, trained, dataset, tmp_path, capsys, damage, named):
+        run = tmp_path / "run"
+        shutil.copytree(trained, run)
+        config_path = run / "config.json"
+        text = config_path.read_text()
+        if damage == "invalid-json":
+            text = text[: len(text) // 2]
+        else:
+            config = json.loads(text)
+            if damage == "missing-key":
+                del config["train"]["use_mc"]
+            else:
+                config["prior"]["bogus"] = 1
+            text = json.dumps(config)
+        config_path.write_text(text)
+        out = tmp_path / "pred"
+        rc = main(["infer", "--checkpoint", str(run / "checkpoint.sgcp"),
+                   "--img", str(dataset / "case_001_img.sg3d"), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config_path}: ") and named in err
+        assert not out.exists()
+
 
 class TestOlderRunDirectory:
     # "net" settings that older config.json files hold, at the one value each may have
@@ -434,6 +462,40 @@ class TestExitCodes:
         assert main(argv.format(**paths).split()) == 1
         assert "usage error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestNonFiniteInput:
+    """A NaN or inf modality voxel is a runtime error naming the file and the
+    count of such voxels, raised before any output is written."""
+
+    @pytest.fixture
+    def data(self, dataset, tmp_path):
+        from voxseg.volume_io import write_volume
+
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("case_000_img.sg3d", "case_000_lbl.sg3d", "case_001_lbl.sg3d"):
+            shutil.copy(dataset / name, data)
+        _, grids = read_volume(dataset / "case_001_img.sg3d")
+        grids = grids.copy()
+        grids[0, 3, 4, 5] = np.nan
+        grids[2, 1, 2, 3] = np.inf
+        write_volume(data / "case_001_img.sg3d", grids)
+        return data
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param("prior --img {img} --out {out}", id="prior"),
+        pytest.param("train --data {data} --out {out} --epochs 1 --widths 4,4,4,4", id="train"),
+        pytest.param("infer --checkpoint {ckpt} --img {img} --out {out} --passes 1", id="infer"),
+        pytest.param("stats --data {data} --out {out}", id="stats"),
+    ])
+    def test_rejected_before_any_output(self, data, trained, tmp_path, capsys, argv):
+        img = data / "case_001_img.sg3d"
+        out = tmp_path / "out"
+        paths = {"img": img, "data": data, "out": out, "ckpt": trained / "checkpoint.sgcp"}
+        assert main(argv.format(**paths).split()) == 2
+        assert f"error: {img}: 2 non-finite voxels" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestManifestPlacement:
