@@ -8,6 +8,7 @@ point sets, using Euclidean distance with optional voxel spacing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -118,9 +119,12 @@ def extract_boundary(mask: np.ndarray) -> np.ndarray:
     """Coordinates (N, 3) of mask voxels with a 6-neighbor outside the mask.
 
     Voxels on the volume border count as boundary. Empty mask gives an
-    empty (0, 3) array. Only the mask's bounding box is scanned.
+    empty (0, 3) array. Only the mask's bounding box is scanned. A mask
+    that is not 3-D raises ValueError.
     """
     mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 3:
+        raise ValueError(f"expected a 3-D mask, got shape {mask.shape}")
     box = []
     for axis in range(3):
         hit = np.flatnonzero(mask.any(axis=tuple(a for a in range(3) if a != axis)))
@@ -140,16 +144,18 @@ def extract_boundary(mask: np.ndarray) -> np.ndarray:
 
 
 def hausdorff(pred: np.ndarray, gt: np.ndarray, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> float:
-    """Symmetric Hausdorff distance between two mask boundaries.
+    """Symmetric Hausdorff distance between two 3-D mask boundaries.
 
     Raises UndefinedMetricError when either mask is empty; callers must
     report that, never substitute zero. Spacing must be three finite
     values > 0.
 
     Each direction reads an exact squared distance transform of one
-    boundary at the other boundary's points, then recomputes the
-    farthest points against every point of the other set, so the value
-    is the brute-force maximum bit for bit.
+    boundary at the other boundary's points, then recomputes each
+    farthest point's distance against the other boundary's points near
+    it (see `_farthest_sq`), so the value is the brute-force maximum bit
+    for bit. A direction whose points all lie on the other boundary is
+    0 without a transform.
     """
     if np.shape(pred) != np.shape(gt):
         raise ValueError(f"shape mismatch {np.shape(pred)} vs {np.shape(gt)}")
@@ -166,25 +172,49 @@ def hausdorff(pred: np.ndarray, gt: np.ndarray, spacing: tuple[float, float, flo
     def directed_sq(src, dst):
         features = np.zeros(box, dtype=bool)
         features[tuple((dst - lo).T)] = True
-        d2 = _squared_edt(features, sp)[tuple((src - lo).T)]
-        top = d2.max()
-        if top == 0:
+        at_src = tuple((src - lo).T)
+        if features[at_src].all():
             return 0.0
+        d2 = _squared_edt(features, sp)[at_src]
+        top = d2.max()
         # rounding in the transform is far below this; exact ties all stay in
         far = src[d2 >= top * (1.0 - 1e-9)]
-        return _farthest_sq(far.astype(np.float64) * sp, dst.astype(np.float64) * sp)
+        return _farthest_sq(far, dst, features, lo, sp, top)
 
     return float(np.sqrt(max(directed_sq(pb, gb), directed_sq(gb, pb))))
 
 
-def _farthest_sq(p: np.ndarray, g: np.ndarray) -> float:
-    """max over p of the squared distance to the nearest g point, with
-    every pair computed, in row blocks of at most 2**20 pairs."""
-    rows = max(1, (1 << 20) // len(g))
-    return max(
-        float(((p[i : i + rows, None, :] - g[None, :, :]) ** 2).sum(axis=2).min(axis=1).max())
-        for i in range(0, len(p), rows)
-    )
+def _farthest_sq(far: np.ndarray, dst: np.ndarray, features: np.ndarray, lo: np.ndarray,
+                 sp: np.ndarray, top: float) -> float:
+    """max over the `far` points of the squared distance to the nearest
+    `dst` point, each pair computed as brute force computes it.
+
+    `features` marks the `dst` points on a grid whose origin is `lo`, and
+    `top` is the transform's value at the far points, so each far point's
+    nearest `dst` point lies within `reach` of it. Its candidates are the
+    marked voxels under the stencil of offsets o with |o * sp| <= reach;
+    when that stencil would hold at least as many offsets as there are
+    `dst` points, every `dst` point is a candidate. Pairs are taken in
+    blocks of at most 2**20.
+    """
+    reach2 = top * (1.0 + 1e-6)
+    half = np.floor(np.sqrt(reach2) / sp).astype(np.int64)
+    offsets = None
+    if math.prod(int(2 * h + 1) for h in half) < len(dst):
+        grid = np.indices(2 * half + 1).reshape(3, -1).T - half
+        offsets = grid[((grid * sp) ** 2).sum(axis=1) <= reach2]
+    rows = max(1, (1 << 20) // len(dst if offsets is None else offsets))
+    worst = 0.0
+    for i in range(0, len(far), rows):
+        p = far[i : i + rows, None, :]
+        cand = dst[None, :, :] if offsets is None else p + offsets
+        d2 = ((p * sp - cand * sp) ** 2).sum(axis=2)
+        if offsets is not None:
+            hit = np.all((cand >= lo) & (cand < lo + features.shape), axis=2)
+            hit[hit] = features[tuple((cand[hit] - lo).T)]
+            d2[~hit] = np.inf
+        worst = max(worst, float(d2.min(axis=1).max()))
+    return worst
 
 
 def _squared_edt(features: np.ndarray, spacing: np.ndarray) -> np.ndarray:

@@ -113,13 +113,20 @@ def otsu_threshold(flair: np.ndarray, bins: int = 256) -> float:
 
     Only nonzero voxels enter the histogram, so background air is
     excluded. Ties resolve to the lowest threshold. The histogram is taken
-    over those values in float64.
+    over those values in float64, one chunk of the flat volume at a time,
+    so no float64 copy of the whole brain is made; the counts equal those
+    of one histogram over all of them.
     """
-    flair = np.asarray(flair)
-    values = flair[flair != 0].astype(np.float64)
-    if values.size < 2 or np.min(values) == np.max(values):
+    flat = np.ravel(flair)
+    chunks = [flat[i : i + (1 << 18)] for i in range(0, flat.size, 1 << 18)]
+    ends = np.array([(v.min(), v.max()) for v in (c[c != 0] for c in chunks) if v.size], np.float64)
+    if len(ends) == 0 or ends[:, 0].min() == ends[:, 1].max():
         raise ValueError("Otsu needs at least two distinct nonzero intensities")
-    counts, edges = np.histogram(values, bins=bins)
+    lo, hi = float(ends[:, 0].min()), float(ends[:, 1].max())
+    counts = 0
+    for c in chunks:
+        part, edges = np.histogram(c[c != 0].astype(np.float64), bins, range=(lo, hi))
+        counts = counts + part
     counts = counts.astype(np.float64)
     centers = 0.5 * (edges[:-1] + edges[1:])
     total = counts.sum()

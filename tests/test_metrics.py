@@ -1,6 +1,7 @@
 """Metric tests: region composition, Dice, boundary, Hausdorff oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,11 @@ class TestBoundary:
         np.testing.assert_array_equal(extract_boundary(m), [[4, 2, 5]])
         np.testing.assert_array_equal(extract_boundary(m), extract_boundary_padded(m))
 
+    @pytest.mark.parametrize("shape", [(6, 7), (2, 4, 5, 3)])
+    def test_non_3d_mask_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"3-D mask, got shape \(" + ", ".join(map(str, shape))):
+            extract_boundary(np.ones(shape, dtype=bool))
+
     def test_random_masks_match_padded_oracle(self):
         rng = np.random.default_rng(22)
         for _ in range(30):
@@ -277,6 +283,77 @@ class TestHausdorff:
             b = random_blob_mask(rng, (10, 10, 10))
             sp = tuple(rng.uniform(0.5, 3.0, size=3))
             assert hausdorff(a, b, sp) == hausdorff_brute(a, b, sp)
+
+    @pytest.mark.parametrize("shape", [(6, 7), (2, 4, 5, 3)])
+    def test_non_3d_masks_rejected(self, shape):
+        a = np.zeros(shape, dtype=bool)
+        b = np.zeros(shape, dtype=bool)
+        a.flat[0] = b.flat[-1] = True
+        with pytest.raises(ValueError, match="3-D mask, got shape"):
+            hausdorff(a, b)
+
+
+def _ball_and_block(shape=(22, 22, 22)):
+    """A ball with a block attached: flat faces and curved ones, so a
+    translate has many boundary points tied at the farthest distance."""
+    grid = np.indices(shape) - np.array(shape)[:, None, None, None] // 2
+    mask = (grid ** 2).sum(axis=0) <= 36
+    mask[6:11, 9:17, 8:14] = True
+    return mask
+
+
+class TestHausdorffLocalRecount:
+    """The farthest points' distances are recounted against nearby target
+    points only; every value must still equal brute force bit for bit."""
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (1.0, 0.7, 2.5)])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_translates_match_brute_force(self, k, axis, spacing):
+        a = _ball_and_block()
+        b = np.roll(a, k, axis=axis)
+        assert hausdorff(a, b, spacing) == hausdorff_brute(a, b, spacing)
+        assert hausdorff(b, a, spacing) == hausdorff_brute(b, a, spacing)
+        if spacing == (1.0, 1.0, 1.0):
+            assert hausdorff(a, b) == float(k)
+
+    def test_boundary_subset_is_zero_one_way_only(self, monkeypatch):
+        a = np.zeros((16, 12, 14), dtype=bool)
+        a[2:7, 2:8, 3:9] = True
+        b = a.copy()
+        b[10:14, 4:9, 5:12] = True  # a second block apart from the first
+        assert set(map(tuple, extract_boundary(a))) < set(map(tuple, extract_boundary(b)))
+        calls = []
+        edt = metrics._squared_edt
+        monkeypatch.setattr(metrics, "_squared_edt", lambda *args: calls.append(1) or edt(*args))
+        for sp in [(1.0, 1.0, 1.0), (1.0, 0.7, 2.5)]:
+            want = hausdorff_brute(a, b, sp)
+            assert want > 0
+            assert hausdorff(a, b, sp) == want
+            assert hausdorff(b, a, sp) == want
+        assert len(calls) == 4  # one transform per call: the a -> b direction has none
+        calls.clear()
+        assert hausdorff(b, b) == 0.0
+        assert calls == []
+
+    def test_far_false_positive_stays_small(self):
+        # one stray voxel far from the target: a stencil of radius ~38 voxels
+        # would hold ~460k offsets, so the recount must pair with all
+        # target points instead of building it
+        a = np.zeros((60, 60, 40), dtype=bool)
+        b = np.zeros_like(a)
+        a[24:36, 24:36, 14:26] = True
+        b[26:38, 24:36, 14:26] = True
+        a[0, 0, 0] = b[-1, -1, -1] = True
+        for sp in [(1.0, 1.0, 1.0), (1.0, 0.7, 2.5)]:
+            tracemalloc.start()
+            try:
+                got = hausdorff(a, b, sp)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == hausdorff_brute(a, b, sp)
+            assert peak < 12 * 2**20, f"{peak / 2**20:.1f} MiB traced"
 
 
 class TestMetricReport:

@@ -59,6 +59,19 @@ class TestOtsu:
             bins = int(rng.integers(16, 129))
             assert otsu_threshold(grid, bins=bins) == otsu_scan(values, bins), f"trial {trial}"
 
+    def test_chunked_histogram_matches_one_shot(self):
+        # more nonzero voxels than one chunk of the flat volume, with the
+        # smallest and largest values in different chunks
+        rng = np.random.default_rng(3)
+        flair = rng.gamma(3.0, 40.0, size=(80, 64, 64)).astype(np.float32)
+        flair[rng.random(flair.shape) < 0.2] = 0
+        flair[:10] *= 0.5
+        flair[-10:] += 300.0
+        values = flair[flair != 0].astype(np.float64)
+        assert values.size > 1 << 18
+        for bins in (64, 256):
+            assert otsu_threshold(flair, bins=bins) == otsu_scan(values, bins)
+
     def test_excludes_zero_background(self):
         # huge zero background must not drag the threshold below the head
         grid = np.zeros((10, 10, 10))
