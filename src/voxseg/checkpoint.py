@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .volume_io import atomic_open
+
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint", "read_manifest"]
 
 _MAGIC = b"SGCP"
@@ -43,7 +45,7 @@ def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         payload.append(arr.tobytes())
-    with open(path, "wb") as f:
+    with atomic_open(path) as f:
         f.write(b"".join(chunks))
         f.write(b"".join(payload))
 

@@ -34,6 +34,7 @@ from .training import (
 from .verify import run_gradient_checks
 from .volume_io import (
     MultiModalVolume,
+    atomic_open,
     check_label_codes,
     export_slice_pgm,
     read_volume,
@@ -171,7 +172,8 @@ def _write_manifest(out: Path, args: argparse.Namespace) -> None:
         lines.append(f"blas_threads={blas.get_threads() if blas else 'unknown'}")
     # the command has written `out` already: a directory, or a file
     path = out / "run_manifest.txt" if out.is_dir() else out.with_name(out.name + ".manifest.txt")
-    path.write_text("\n".join(lines) + "\n")
+    with atomic_open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def _parse_ints(text: str, parts: list[str], what: str) -> tuple[int, ...]:
@@ -275,7 +277,8 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt.save_checkpoint(out / "checkpoint.sgcp", result.best_state)
-    (out / "history.csv").write_text(format_history(result.history))
+    with atomic_open(out / "history.csv", "w") as f:
+        f.write(format_history(result.history))
     net_json = {
         "net": {k: list(v) if isinstance(v, tuple) else v
                 for k, v in vars(net_config).items()},
@@ -285,7 +288,8 @@ def _cmd_train(args) -> int:
         "best_epoch": result.best_epoch,
         "best_val_loss": result.best_val_loss,
     }
-    (out / "config.json").write_text(json.dumps(net_json, indent=2) + "\n")
+    with atomic_open(out / "config.json", "w") as f:
+        f.write(json.dumps(net_json, indent=2) + "\n")
     print(f"trained {len(result.history)} epochs; best val loss "
           f"{result.best_val_loss:.4f} at epoch {result.best_epoch} -> {out}")
     return 0
@@ -365,7 +369,8 @@ def _cmd_eval(args) -> int:
     report = evaluate_case(masks, labels, spacing)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(report.to_text())
+    with atomic_open(out, "w") as f:
+        f.write(report.to_text())
     print(report.to_text().strip())
     return 0
 
@@ -380,7 +385,8 @@ def _cmd_gradcheck(args) -> int:
         lines.append(line)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "gradcheck_report.txt").write_text("\n".join(lines) + "\n")
+    with atomic_open(out / "gradcheck_report.txt", "w") as f:
+        f.write("\n".join(lines) + "\n")
     if not all(r.passed for r in results):
         print("gradient checks FAILED", file=sys.stderr)
         return 2
@@ -398,7 +404,8 @@ def _cmd_stats(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"min={stats.min!r}", f"max={stats.max!r}", f"median={stats.median!r}"]
     lines += [f"case_{i}={v!r}" for i, v in enumerate(stats.per_case)]
-    out.write_text("\n".join(lines) + "\n")
+    with atomic_open(out, "w") as f:
+        f.write("\n".join(lines) + "\n")
     print(f"tumor-intensity std over {len(stats.per_case)} cases: "
           f"min {stats.min:.2f}, median {stats.median:.2f}, max {stats.max:.2f}")
     return 0

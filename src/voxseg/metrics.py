@@ -109,10 +109,11 @@ def dice_score(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=bool)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    denom = int(a.sum()) + int(b.sum())
+    denom = int(np.count_nonzero(a)) + int(np.count_nonzero(b))
     if denom == 0:
         return 1.0
-    return 2.0 * int(np.logical_and(a, b).sum()) / denom
+    # Python ints give a Python float, whose repr MetricReport's text parses back
+    return 2.0 * int(np.count_nonzero(a & b)) / denom
 
 
 def extract_boundary(mask: np.ndarray) -> np.ndarray:

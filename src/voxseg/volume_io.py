@@ -15,8 +15,10 @@ Slice figures are written as binary PGM (P5, maxval 255).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
+import uuid
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ __all__ = [
     "MultiModalVolume",
     "VolumeFormatError",
     "LABEL_CODES",
+    "atomic_open",
     "check_label_codes",
     "read_volume",
     "write_volume",
@@ -48,9 +51,35 @@ _CODE_BY_KIND = {"f": DTYPE_FLOAT32, "u": DTYPE_UINT8}
 LABEL_CODES = frozenset({0, 1, 2, 4})
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "wb"):
+    """Write `path` through a new file beside it, moved over `path` by one
+    `os.replace` when the block ends without an error and removed when
+    it does not. A reader sees the old file or all of the new one,
+    never a part; the data is not fsynced."""
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x")) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def check_label_codes(labels: np.ndarray, source: str = "") -> None:
-    """Raise ValueError if a value is no label code, counting them and showing at most 5 after `source`."""
-    unknown = np.setdiff1d(labels, sorted(LABEL_CODES)).tolist()
+    """Raise ValueError if a value is no label code, counting them and showing at most 5 after `source`.
+
+    The unknown values are listed as `np.setdiff1d` lists them: distinct,
+    sorted, one NaN for all NaNs. Only the voxels no code equals are sorted.
+    """
+    labels = np.asarray(labels)
+    bad = np.ones(labels.shape, dtype=bool)
+    for code in LABEL_CODES:
+        bad &= labels != code
+    unknown = np.unique(labels[bad]).tolist()
     if unknown:
         shown = ", ".join(map(repr, unknown[:5])) + (", ..." if len(unknown) > 5 else "")
         where = f"{source}: " if source else ""
@@ -128,7 +157,7 @@ def write_volume(path, grids: np.ndarray) -> VolumeHeader:
         raise VolumeFormatError(f"unsupported dtype {grids.dtype}; use float32 or uint8")
     header = VolumeHeader(SG3D_VERSION, grids.shape[0], tuple(grids.shape[1:]), code)
     payload = np.ascontiguousarray(grids, dtype=header.numpy_dtype)
-    with open(path, "wb") as f:
+    with atomic_open(path) as f:
         f.write(_HEADER.pack(SG3D_MAGIC, header.version, header.channels, *header.dims, header.dtype_code))
         f.write(payload.tobytes())
     return header
@@ -177,6 +206,6 @@ def export_slice_pgm(grid: np.ndarray, axis: str, index: int, value_range: tuple
     scaled = np.clip((img - lo) / (hi - lo), 0.0, 1.0)
     pixels = np.floor(255.0 * scaled + 0.5).astype(np.uint8)  # round half up
     height, width = pixels.shape
-    with open(path, "wb") as f:
+    with atomic_open(path) as f:
         f.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         f.write(pixels.tobytes())

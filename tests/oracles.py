@@ -333,6 +333,15 @@ def neighbor_offsets(connectivity):
     raise ValueError(connectivity)
 
 
+def select_seeds_argwhere(component, n, rng_seed):
+    """Seed sample drawn from the (N, 3) coordinate list of the component,
+    in scan order."""
+    coords = np.argwhere(np.asarray(component, dtype=bool))
+    rng = np.random.default_rng(rng_seed)
+    chosen = coords[rng.choice(len(coords), size=min(n, len(coords)), replace=False)]
+    return [tuple(int(v) for v in c) for c in chosen]
+
+
 def region_grow_fixpoint(flair, seeds, delta, connectivity=6):
     """Dilation-fixpoint region growing, independent of queue traversal.
 

@@ -1,5 +1,7 @@
 """Prior pipeline tests: Otsu, components, seeds, growth, input assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -364,6 +366,23 @@ class TestGeneratePrior:
     def test_float32_volume_gives_the_float64_threshold(self):
         flair = gen_phantom(PhantomSpec(rng_seed=13), 0).flair.astype(np.float32)
         assert otsu_threshold(flair) == otsu_threshold(flair.astype(np.float64))
+
+    def test_brats_size_peak_memory_below_twice_the_volume(self):
+        # a clinical-size float32 case: a dim brain ball around a bright tumor
+        d, h, w = (np.arange(n, dtype=np.float32) - n // 2 for n in (240, 240, 155))
+        r2 = d[:, None, None] ** 2 + h[None, :, None] ** 2 + w[None, None, :] ** 2
+        flair = np.zeros(r2.shape, dtype=np.float32)
+        flair[r2 <= 100.0**2] = 100.0
+        flair[r2 <= 25.0**2] = 200.0
+        del r2
+        tracemalloc.start()
+        try:
+            prior = generate_prior(flair, PriorConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(prior, flair == 200.0)
+        assert peak < 2 * flair.nbytes, f"peak {peak / flair.nbytes:.2f}x the volume's bytes"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

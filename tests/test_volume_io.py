@@ -1,14 +1,19 @@
-"""SG3D round-trip and PGM export tests."""
+"""SG3D round-trip, PGM export and atomic-write tests."""
+
+import errno
 
 import numpy as np
 import pytest
 
+from voxseg import volume_io
+from voxseg.checkpoint import save_checkpoint
 from voxseg.metrics import compose_regions
 from voxseg.volume_io import (
     DTYPE_FLOAT32,
     SG3D_VERSION,
     MultiModalVolume,
     VolumeFormatError,
+    atomic_open,
     check_label_codes,
     export_slice_pgm,
     read_volume,
@@ -169,3 +174,57 @@ class TestLabelCodes:
         for check in (compose_regions, lambda lbl: MultiModalVolume(np.zeros((4, 4, 4, 4)), lbl)):
             with pytest.raises(ValueError, match=r"^64 unknown label codes: 5, 6, 7, 8, 9, \.\.\.$"):
                 check(labels)
+
+
+class _DiskFullAfterFirstWrite:
+    """A file whose second write fails as a full disk would."""
+
+    def __init__(self, f):
+        self.f, self.writes = f, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.f.write(data)
+
+
+class TestAtomicWrites:
+    WRITERS = {
+        "write_volume": lambda p: write_volume(p, np.ones((2, 3, 3, 3), dtype=np.float32)),
+        "save_checkpoint": lambda p: save_checkpoint(p, {"w": np.ones((4, 2), dtype=np.float32)}),
+        "export_slice_pgm": lambda p: export_slice_pgm(np.ones((3, 3, 3)), "axial", 1, (0.0, 2.0), p),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_write_failing_midway_keeps_the_old_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        real_open = open
+        monkeypatch.setattr(volume_io, "open", lambda *a: _DiskFullAfterFirstWrite(real_open(*a)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            self.WRITERS[writer](path)
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_complete_write_replaces_the_old_file(self, tmp_path, writer):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        self.WRITERS[writer](path)
+        assert path.read_bytes() != b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_text_block_raising_leaves_no_file(self, tmp_path):
+        with pytest.raises(KeyboardInterrupt):
+            with atomic_open(tmp_path / "report.txt", "w") as f:
+                f.write("partial")
+                raise KeyboardInterrupt
+        assert list(tmp_path.iterdir()) == []
