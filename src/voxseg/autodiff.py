@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import threading
 from contextlib import contextmanager
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -58,39 +59,41 @@ __all__ = [
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
-_grad_enabled = True
 
-# When a selection tape is active, relu/maxpool/clamp record their branch
-# choices on first use and replay them on later passes, so repeated
-# evaluations probe the pinned piecewise branch instead of hopping across
-# kinks (used by grad_check).
-_selection_tape: list | None = None
-_selection_cursor = 0
+class _Mode(threading.local):
+    """The calling thread's autodiff mode. `record`: ops record the tape.
+    `pins`, `cursor`: while grad_check probes, relu/maxpool/clamp record
+    their branch choices on first use and replay them on later passes, so
+    repeated evaluations probe the pinned piecewise branch instead of
+    hopping across kinks. Each thread starts from these class defaults."""
+
+    record = True
+    pins: list | None = None
+    cursor = 0
+
+
+_mode = _Mode()
 
 
 @contextmanager
-def _selection_scope(tape: list):
-    global _selection_tape, _selection_cursor
-    prev_tape, prev_cursor = _selection_tape, _selection_cursor
-    _selection_tape, _selection_cursor = tape, 0
+def _mode_scope(**fields):
+    """Set fields of this thread's mode inside the context, then restore them."""
+    prev = {name: getattr(_mode, name) for name in fields}
+    vars(_mode).update(fields)  # a thread-local's vars are this thread's
     try:
         yield
     finally:
-        _selection_tape, _selection_cursor = prev_tape, prev_cursor
+        vars(_mode).update(prev)
 
 
 def _pin_selection(compute):
-    """Record `compute()` on the active tape the first time, replay after."""
-    global _selection_cursor
-    if _selection_tape is None:
+    """Record `compute()` on this thread's pins the first time, replay after."""
+    if _mode.pins is None:
         return compute()
-    if _selection_cursor < len(_selection_tape):
-        value = _selection_tape[_selection_cursor]
-    else:
-        value = compute()
-        _selection_tape.append(value)
-    _selection_cursor += 1
-    return value
+    if _mode.cursor == len(_mode.pins):
+        _mode.pins.append(compute())
+    _mode.cursor += 1
+    return _mode.pins[_mode.cursor - 1]
 
 
 class DropoutMode(Enum):
@@ -105,16 +108,10 @@ class DropoutMode(Enum):
     OFF = "off"
 
 
-@contextmanager
 def no_grad():
-    """Disable graph recording inside the context (pure inference)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
+    """Disable graph recording in the calling thread inside the context
+    (pure inference); other threads keep their own mode."""
+    return _mode_scope(record=False)
 
 
 def _as_float_array(data) -> np.ndarray:
@@ -229,7 +226,7 @@ def _make(data: np.ndarray, parents: Iterable[Tensor], rule, op: str) -> Tensor:
         raise FloatingPointError(f"non-finite values produced by {op}")
     out = Tensor(data)
     parents = tuple(parents)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _mode.record and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_rule = rule
@@ -814,7 +811,7 @@ def grad_check(
     selections: list = []
 
     def pinned():
-        with _selection_scope(selections):
+        with _mode_scope(pins=selections, cursor=0):
             return f()
 
     for leaf in leaves:
@@ -835,11 +832,13 @@ def grad_check(
             orig = flat[idx]
 
             def central(step):
-                flat[idx] = orig + step
-                fp = pinned().item()
-                flat[idx] = orig - step
-                fm = pinned().item()
-                flat[idx] = orig
+                try:
+                    flat[idx] = orig + step
+                    fp = pinned().item()
+                    flat[idx] = orig - step
+                    fm = pinned().item()
+                finally:
+                    flat[idx] = orig
                 return (fp - fm) / (2.0 * step)
 
             num_h = central(h)

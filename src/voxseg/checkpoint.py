@@ -87,6 +87,7 @@ def read_manifest(path) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Named float32 arrays in file order; CheckpointError if malformed or non-finite."""
     raw = Path(path).read_bytes()
     entries, offset = _parse_manifest(raw)
     expected = offset + sum(4 * math.prod(shape) for _, shape in entries)
@@ -97,5 +98,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         n = math.prod(shape)
         arr = np.frombuffer(raw, dtype="<f4", count=n, offset=offset).reshape(shape)
         offset += 4 * n
+        bad = arr.size - np.count_nonzero(np.isfinite(arr))
+        if bad:
+            raise CheckpointError(f"{path}: entry {name!r} holds {bad} non-finite values")
         state[name] = arr.copy()
     return state

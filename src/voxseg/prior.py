@@ -280,35 +280,35 @@ def region_grow(
     return region
 
 
+def _tumor_std(flair, labels) -> float | None:
+    """FLAIR intensity std inside labeled tumor; None below two voxels."""
+    tumor = np.asarray(flair)[np.asarray(labels) != 0].astype(np.float64)
+    return float(np.std(tumor)) if tumor.size >= 2 else None
+
+
 def tumor_std_stats(cases) -> TumorStdStats:
     """Population std of FLAIR intensities inside labeled tumor, per case.
 
     Cases with fewer than two tumor voxels are skipped with a warning;
     raises when nothing usable remains.
     """
-    values = []
-    for i, (flair, labels) in enumerate(cases):
-        tumor = np.asarray(flair)[np.asarray(labels) != 0].astype(np.float64)
-        if tumor.size < 2:
+    stds = [_tumor_std(flair, labels) for flair, labels in cases]
+    for i, std in enumerate(stds):
+        if std is None:
             warnings.warn(f"case {i}: fewer than 2 tumor voxels, skipped", stacklevel=2)
-            continue
-        values.append(float(np.std(tumor)))
-    return TumorStdStats.from_values(values)
+    return TumorStdStats.from_values(std for std in stds if std is not None)
 
 
 def derive_delta(volumes) -> float:
     """Median tumor-region intensity std over labeled volumes.
 
     Falls back to the documented constant when no volume carries a usable
-    tumor region.
+    tumor region. Unusable volumes are skipped silently.
     """
-    cases = [(v.flair, v.labels) for v in volumes if v.labels is not None]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            median = tumor_std_stats(cases).median
-    except ValueError:
-        return DEFAULT_DELTA
+    with np.errstate(invalid="ignore"):  # silent, as for skipped volumes: non-finite FLAIR gives NaN
+        stds = [_tumor_std(v.flair, v.labels) for v in volumes if v.labels is not None]
+    usable = [std for std in stds if std is not None]
+    median = TumorStdStats.from_values(usable).median if usable else 0.0
     return median if median > 0 else DEFAULT_DELTA
 
 

@@ -299,31 +299,28 @@ def mc_infer(net: TumorSegNet, x: Tensor, n_passes: int = 20, seed: int = 0,
     if not use_mc:
         n_passes = 1
     outputs: list[np.ndarray | None] = [None] * n_passes
+    dropout = DropoutMode.MC_ACTIVE if use_mc else DropoutMode.OFF  # OFF ignores the rng
 
     def run(first: int, step: int) -> None:
-        for i in range(first, n_passes, step):
-            if use_mc:
-                pred = net.forward(x, DropoutMode.MC_ACTIVE, derive_rng(seed, 2, i))
-            else:
-                pred = net.forward(x, DropoutMode.OFF)
-            outputs[i] = pred.data[0]
+        with no_grad():  # autodiff's mode is per thread: each worker sets its own
+            for i in range(first, n_passes, step):
+                outputs[i] = net.forward(x, dropout, derive_rng(seed, 2, i)).data[0]
 
     blas = _openblas()
     workers = 1 if blas is None else min(n_passes, len(os.sched_getaffinity(0)), _MC_WORKERS)
-    with no_grad():
-        if workers == 1:
-            run(0, 1)
-        else:
-            threads = blas.get_threads()
-            blas.set_threads(1)
-            try:
-                with ThreadPoolExecutor(workers - 1) as pool:
-                    helpers = [pool.submit(run, j, workers) for j in range(1, workers)]
-                    run(0, workers)
-                    for helper in helpers:
-                        helper.result()
-            finally:
-                blas.set_threads(threads)
+    if workers == 1:
+        run(0, 1)
+    else:
+        threads = blas.get_threads()
+        blas.set_threads(1)
+        try:
+            with ThreadPoolExecutor(workers - 1) as pool:
+                helpers = [pool.submit(run, j, workers) for j in range(1, workers)]
+                run(0, workers)
+                for helper in helpers:
+                    helper.result()
+        finally:
+            blas.set_threads(threads)
 
     mean = outputs[0].astype(np.float64)
     for out in outputs[1:]:

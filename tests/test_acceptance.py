@@ -86,6 +86,7 @@ def refined_run():
     return _memorize_phantom(600)
 
 
+@pytest.mark.slow
 class TestCriterion1Gradients:
     def test_gradient_correctness(self):
         start = time.perf_counter()
@@ -182,6 +183,7 @@ class TestCriterion4PriorOracles:
         report(4, "prior pipeline oracles", ok)
 
 
+@pytest.mark.slow
 class TestCriterion5LearningSanity:
     def test_single_phantom_memorization(self, overfit_run):
         vol, net, x, result, elapsed = overfit_run
@@ -244,6 +246,7 @@ class TestCriterion6AblationSwitchboard:
         report(6, "ablation switchboard", ok)
 
 
+@pytest.mark.slow
 class TestCriterion7McDropout:
     def test_mc_contract(self, refined_run):
         vol, net, x, result, _ = refined_run

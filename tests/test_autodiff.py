@@ -1,6 +1,9 @@
 """Tensor primitive tests: forward examples, oracle agreement, gradients."""
 
+import itertools
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from voxseg.autodiff import (
     grad_check,
     group_norm,
     maxpool3d,
+    no_grad,
     relu,
     sigmoid,
     softmax,
@@ -827,6 +831,84 @@ class TestGradCheckHarness:
         x = Tensor(np.array([-2.0, 0.5, 2.0]), requires_grad=True)
         backward(clamp(x, 0.0, 1.0).sum())
         np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
+
+    def test_leaf_restored_when_f_raises_mid_probe(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        calls = itertools.count()
+
+        def f():
+            if next(calls) == 1:  # the first probe, with x[0] nudged by +h
+                raise RuntimeError("probe failed")
+            return (x * x).sum()
+
+        with pytest.raises(RuntimeError, match="probe failed"):
+            grad_check(f, x)
+        assert x.data.tolist() == [1.0, 2.0]
+
+
+def run_while_held(hold, run):
+    """`run()` in this thread while another thread is paused inside
+    `hold(pause)`: its `pause()` returns only once `run` has returned.
+    An error in `hold` is raised here."""
+    paused, resume = threading.Event(), threading.Event()
+
+    def pause():
+        paused.set()
+        resume.wait()
+
+    with ThreadPoolExecutor(1) as pool:
+        held = pool.submit(hold, pause)
+        try:
+            assert paused.wait(60), "the other thread never paused"
+            return run()
+        finally:
+            resume.set()
+            held.result(timeout=60)
+
+
+class TestModePerThread:
+    """no_grad and grad_check's pins act on the calling thread alone."""
+
+    @staticmethod
+    def forward(x, w, b):
+        return relu(conv3d(x, w, b)).sum()
+
+    def test_forward_records_while_another_thread_is_in_no_grad(self):
+        rng = np.random.default_rng(41)
+        x, w, b = randt(rng, (1, 2, 3, 3, 3)), randt(rng, (2, 2, 3, 3, 3), True), randt(rng, (2,), True)
+        backward(self.forward(x, w, b))
+        want = w.grad.copy(), b.grad.copy()
+        w.zero_grad()
+        b.zero_grad()
+
+        def in_no_grad(pause):
+            with no_grad():
+                pause()
+
+        backward(run_while_held(in_no_grad, lambda: self.forward(x, w, b)))
+        assert w.grad is not None and b.grad is not None
+        assert w.grad.tobytes() == want[0].tobytes() and b.grad.tobytes() == want[1].tobytes()
+
+    def test_relu_computes_its_own_mask_while_another_thread_holds_pins(self):
+        neg = Tensor(np.array([-1.0, -2.0, -3.0]), requires_grad=True)
+
+        def probing(pause):
+            calls = itertools.count()
+
+            def f():
+                if next(calls) == 1:  # the pins now hold neg's all-off mask
+                    pause()
+                return relu(neg).sum()
+
+            grad_check(f, neg)
+
+        out = run_while_held(probing, lambda: relu(Tensor(np.array([1.0, 2.0, 3.0]))))
+        assert out.data.tolist() == [1.0, 2.0, 3.0]
+
+    def test_new_thread_starts_recording_without_pins(self):
+        with no_grad(), ThreadPoolExecutor(1) as pool:
+            seen = pool.submit(lambda: (autodiff._mode.record, autodiff._mode.pins)).result(timeout=60)
+        assert seen == (True, None)
 
 
 class TestSeeding:

@@ -8,7 +8,7 @@ import pytest
 
 from voxseg import autodiff
 from voxseg.cli import main
-from voxseg.checkpoint import load_checkpoint
+from voxseg.checkpoint import load_checkpoint, save_checkpoint
 from voxseg.metrics import MetricReport
 from voxseg.volume_io import read_volume
 
@@ -495,6 +495,21 @@ class TestNonFiniteInput:
         paths = {"img": img, "data": data, "out": out, "ckpt": trained / "checkpoint.sgcp"}
         assert main(argv.format(**paths).split()) == 2
         assert f"error: {img}: 2 non-finite voxels" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_checkpoint_rejected_before_any_output(self, dataset, trained, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(trained, run)
+        ckpt = run / "checkpoint.sgcp"
+        state = load_checkpoint(ckpt)
+        name = next(iter(state))
+        state[name].reshape(-1)[0] = np.nan
+        save_checkpoint(ckpt, state)
+        out = tmp_path / "out"
+        rc = main(["infer", "--checkpoint", str(ckpt), "--img", str(dataset / "case_001_img.sg3d"),
+                   "--out", str(out), "--passes", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: entry {name!r} holds 1 non-finite values\n"
         assert not out.exists()
 
 

@@ -260,6 +260,7 @@ class TestFullNetwork:
         with pytest.raises(ValueError, match="channels"):
             net.forward(x, OFF)
 
+    @pytest.mark.slow
     def test_end_to_end_gradcheck_with_loss(self):
         cfg = NetworkConfig(in_channels=2, stage_widths=(4, 4, 4, 4), gn_groups=2,
                             dropout_rate=0.0)
@@ -508,6 +509,15 @@ class TestCheckpoint:
         shapes = {name: shape for name, shape in manifest}
         for name, p in net.named_parameters():
             assert shapes[name] == p.data.shape
+
+    def test_non_finite_entry_names_file_entry_and_count(self, tmp_path):
+        bias = np.zeros(4, dtype=np.float32)
+        bias[[1, 3]] = [np.nan, -np.inf]
+        path = tmp_path / "bad.sgcp"
+        save_checkpoint(path, {"enc.w": np.ones((2, 2), dtype=np.float32), "enc.b": bias})
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: entry 'enc.b' holds 2 non-finite values"
 
     def test_every_truncated_prefix_raises(self, tmp_path):
         state = {"enc.w": np.arange(6, dtype=np.float32).reshape(1, 2, 3), "bé": np.ones(4, dtype=np.float32)}

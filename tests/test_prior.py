@@ -1,6 +1,7 @@
 """Prior pipeline tests: Otsu, components, seeds, growth, input assembly."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -412,6 +413,23 @@ class TestDeriveDelta:
         vol = gen_phantom(PhantomSpec(rng_seed=21), 0)
         unlabeled = MultiModalVolume(vol.modalities)
         assert derive_delta([unlabeled]) == DEFAULT_DELTA
+
+    def test_skips_unusable_volumes_without_touching_the_warnings_filter(self, monkeypatch):
+        # the filter list is process-wide, so changing it races other threads
+        from voxseg.prior import derive_delta
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("warnings.simplefilter called")
+
+        volumes = [gen_phantom(PhantomSpec(rng_seed=20), i) for i in range(3)]
+        no_tumor = MultiModalVolume(volumes[0].modalities, np.zeros_like(volumes[0].labels))
+        want = tumor_std_stats([(v.flair, v.labels) for v in volumes]).median
+        # patched only around the call: pytest's own reporting uses simplefilter
+        with monkeypatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+            patch.setattr(warnings, "simplefilter", refuse)
+            delta = derive_delta([no_tumor, *volumes])
+        assert delta == want
+        assert caught == []
 
 
 class TestBuildInput:

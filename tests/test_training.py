@@ -42,14 +42,15 @@ def set_cpus(monkeypatch, n):
 
 
 def record_threads(monkeypatch, net, fail_on=None):
-    """Wrap `net.forward` to log the thread of each pass (and the OpenBLAS
-    thread count it saw); raise in passes on the `fail_on` thread."""
+    """Wrap `net.forward` to log the thread of each pass, the OpenBLAS
+    thread count and whether autodiff recorded the tape on that thread;
+    raise in passes on the `fail_on` thread."""
     seen = []
     forward = net.forward
 
     def wrapped(*args, **kwargs):
         blas = _openblas()
-        seen.append((threading.get_ident(), blas.get_threads() if blas else None))
+        seen.append((threading.get_ident(), blas.get_threads() if blas else None, autodiff._mode.record))
         if fail_on is not None and fail_on(threading.get_ident()):
             raise RuntimeError("pass failed")
         return forward(*args, **kwargs)
@@ -196,7 +197,7 @@ def script_val_losses(monkeypatch, losses):
 
     def loss(pred, target):
         out = combined_loss(pred, target)
-        return out if autodiff._grad_enabled else Tensor(np.array(next(epochs)))
+        return out if autodiff._mode.record else Tensor(np.array(next(epochs)))
 
     monkeypatch.setattr(training, "combined_loss", loss)
 
@@ -260,7 +261,7 @@ class TestFit:
         # the loss turns infinite only under no_grad, i.e. in validation
         def loss(pred, target):
             out = combined_loss(pred, target)
-            return out if autodiff._grad_enabled else out * math.inf
+            return out if autodiff._mode.record else out * math.inf
 
         monkeypatch.setattr(training, "combined_loss", loss)
         cfg = TrainConfig(seed=1, max_epochs=2, patience=2, use_prior=False)
@@ -375,8 +376,10 @@ class TestMcInfer:
         seen = record_threads(monkeypatch, net)
         mc_infer(net, x, n_passes=5, seed=6)
         caller = threading.get_ident()
-        assert sorted(ident == caller for ident, _ in seen) == [False, False, True, True, True]
-        assert {threads for _, threads in seen} == {1}
+        assert sorted(ident == caller for ident, _, _ in seen) == [False, False, True, True, True]
+        assert {threads for _, threads, _ in seen} == {1}
+        assert {record for _, _, record in seen} == {False}
+        assert autodiff._mode.record
         assert two_blas_threads.get_threads() == 2
 
     @pytest.mark.parametrize("no_openblas", [False, True])
@@ -392,7 +395,8 @@ class TestMcInfer:
         monkeypatch.setattr(training, "ThreadPoolExecutor", no_pool)
         seen = record_threads(monkeypatch, net)
         mc_infer(net, x, n_passes=3, seed=6)
-        assert [ident for ident, _ in seen] == [threading.get_ident()] * 3
+        assert [ident for ident, _, _ in seen] == [threading.get_ident()] * 3
+        assert {record for _, _, record in seen} == {False}
 
     @needs_openblas
     def test_more_workers_than_cores_under_fast_switching(self, mc_setup, monkeypatch):
@@ -408,7 +412,8 @@ class TestMcInfer:
             mc = mc_infer(net, x, n_passes=7, seed=6)
         finally:
             sys.setswitchinterval(interval)
-        assert len({ident for ident, _ in seen}) == 4
+        assert len({ident for ident, _, _ in seen}) == 4
+        assert {record for _, _, record in seen} == {False}
         assert mc.mean.tobytes() == ref.mean.tobytes()
         assert mc.variance.tobytes() == ref.variance.tobytes()
 
@@ -420,11 +425,12 @@ class TestMcInfer:
         set_cpus(monkeypatch, 2)
         caller = threading.get_ident()
         on_caller = failing == "caller"
-        record_threads(monkeypatch, net, fail_on=lambda ident: (ident == caller) == on_caller)
+        seen = record_threads(monkeypatch, net, fail_on=lambda ident: (ident == caller) == on_caller)
         with pytest.raises(RuntimeError, match="pass failed"):
             mc_infer(net, x, n_passes=4, seed=6)
         assert two_blas_threads.get_threads() == 2
-        assert autodiff._grad_enabled
+        assert {record for _, _, record in seen} == {False}
+        assert autodiff._mode.record
 
     def test_masks_binarize_the_returned_mean(self, monkeypatch):
         # Two passes, 0.5 and the float32 just below it: the float64 mean
