@@ -80,15 +80,26 @@ def _parse_manifest(raw: bytes) -> tuple[list[tuple[str, tuple[int, ...]]], int]
     return entries, offset
 
 
+def _read(path, parse):
+    """parse(raw bytes of path); every CheckpointError it raises names the file."""
+    raw = Path(path).read_bytes()
+    try:
+        return parse(raw)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+
+
 def read_manifest(path) -> list[tuple[str, tuple[int, ...]]]:
     """Named shapes in file order, without touching the payload."""
-    entries, _ = _parse_manifest(Path(path).read_bytes())
-    return entries
+    return _read(path, _parse_manifest)[0]
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Named float32 arrays in file order; CheckpointError if malformed or non-finite."""
-    raw = Path(path).read_bytes()
+    return _read(path, _parse_state)
+
+
+def _parse_state(raw: bytes) -> dict[str, np.ndarray]:
     entries, offset = _parse_manifest(raw)
     expected = offset + sum(4 * math.prod(shape) for _, shape in entries)
     if len(raw) != expected:
@@ -100,6 +111,6 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         offset += 4 * n
         bad = arr.size - np.count_nonzero(np.isfinite(arr))
         if bad:
-            raise CheckpointError(f"{path}: entry {name!r} holds {bad} non-finite values")
+            raise CheckpointError(f"entry {name!r} holds {bad} non-finite values")
         state[name] = arr.copy()
     return state

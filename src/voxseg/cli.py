@@ -197,7 +197,7 @@ def _load_case(img_path: Path, lbl_path: Path | None) -> MultiModalVolume:
     if not np.isfinite(grids).all():
         raise ValueError(f"{img_path}: {np.count_nonzero(~np.isfinite(grids))} non-finite voxels")
     labels = None if lbl_path is None else _read_labels(lbl_path)
-    return MultiModalVolume(grids.astype(np.float32), labels)
+    return MultiModalVolume(grids, labels)  # casts to float32, without a copy when already float32
 
 
 def _read_labels(path: Path) -> np.ndarray:

@@ -50,16 +50,22 @@ class PhantomSpec:
 
 
 def _ellipsoid(dims, center, radii) -> np.ndarray:
-    grids = np.indices(dims).astype(np.float64)
-    dist = sum(((grids[i] - center[i]) / radii[i]) ** 2 for i in range(3))
-    return dist <= 1.0
+    grids = np.ogrid[tuple(slice(n) for n in dims)]
+    return sum(((grids[i] - center[i]) / radii[i]) ** 2 for i in range(3)) <= 1.0
+
+
+# tissue columns of the intensity table, and the column of each label code
+# (0..4) inside the brain; code 3 is unused
+_TISSUES = ("background", "brain", "necrosis", "edema", "enhancing")
+_LABEL_TISSUE = np.array([1, 2, 3, 0, 4], dtype=np.uint8)
 
 
 def gen_phantom(spec: PhantomSpec, case_index: int) -> MultiModalVolume:
     """Deterministic phantom for (spec.rng_seed, case_index).
 
     The tumor center is resampled until the outer tumor ellipsoid fits
-    inside the brain ellipsoid (up to 100 tries).
+    inside the brain ellipsoid (up to 100 tries). Every voxel takes its
+    modality means from one tissue map; noise is added inside the brain.
     """
     rng = derive_rng(spec.rng_seed, case_index)
     dims = np.array(spec.dims)
@@ -68,8 +74,6 @@ def gen_phantom(spec: PhantomSpec, case_index: int) -> MultiModalVolume:
     brain = _ellipsoid(spec.dims, brain_center, brain_radii)
 
     r_wt = rng.uniform(*spec.tumor_radius_range) * float(dims.min())
-    r_tc = 0.70 * r_wt
-    r_et = 0.42 * r_wt
     for _ in range(100):
         center = np.array([rng.uniform(r_wt, n - 1 - r_wt) for n in dims])
         # outer ellipsoid fits when the scaled center offset leaves room
@@ -79,30 +83,17 @@ def gen_phantom(spec: PhantomSpec, case_index: int) -> MultiModalVolume:
     else:
         raise RuntimeError(f"no tumor placement found for case {case_index}")
 
-    wt = _ellipsoid(spec.dims, center, (r_wt,) * 3) & brain
-    tc = _ellipsoid(spec.dims, center, (r_tc,) * 3) & brain
-    et = _ellipsoid(spec.dims, center, (r_et,) * 3) & brain
-
     labels = np.zeros(spec.dims, dtype=np.uint8)
-    labels[wt] = 2  # edema shell
-    labels[tc] = 1  # necrosis shell
-    labels[et] = 4  # enhancing core
+    # edema shell, necrosis shell, enhancing core: each ball paints over the last
+    for code, scale in ((2, 1.0), (1, 0.70), (4, 0.42)):
+        labels[_ellipsoid(spec.dims, center, (scale * r_wt,) * 3) & brain] = code
 
-    tissue_masks = [
-        ("brain", brain & (labels == 0)),
-        ("edema", labels == 2),
-        ("necrosis", labels == 1),
-        ("enhancing", labels == 4),
-    ]
-    modalities = np.zeros((4,) + spec.dims, dtype=np.float64)
-    for name, mask in tissue_masks:
-        means = DEFAULT_INTENSITIES[name]
-        for m in range(4):
-            modalities[m][mask] = means[m]
+    table = np.array([DEFAULT_INTENSITIES[t] for t in _TISSUES]).T  # (modality, tissue)
+    modalities = np.take(table, np.where(brain, _LABEL_TISSUE[labels], 0), axis=1)
     if spec.noise_sigma > 0:
         noise = rng.normal(0.0, spec.noise_sigma, size=modalities.shape)
-        inside = np.broadcast_to(brain, modalities.shape)
-        modalities = np.where(inside, modalities + noise, modalities)
+        modalities += np.multiply(noise, brain, out=noise)  # outside the brain 0 + ±0 is +0
+        del noise  # not held through the float32 cast
     return MultiModalVolume(modalities.astype(np.float32), labels)
 
 
@@ -123,11 +114,9 @@ def split_dataset(case_ids, ratios: tuple[int, int, int] = (8, 1, 1), seed: int 
     quotas = [n * r / total for r in ratios]
     sizes = [int(q) for q in quotas]
     remainders = [q - s for q, s in zip(quotas, sizes)]
-    for _ in range(n - sum(sizes)):
-        # ties resolve to the earliest split (train, then val, then test)
-        idx = max(range(3), key=lambda i: (remainders[i], -i))
+    # leftovers go to the largest remainders; ties to the earliest split
+    for idx in sorted(range(3), key=lambda i: (-remainders[i], i))[: n - sum(sizes)]:
         sizes[idx] += 1
-        remainders[idx] = -1.0
     train = shuffled[: sizes[0]]
     val = shuffled[sizes[0] : sizes[0] + sizes[1]]
     test = shuffled[sizes[0] + sizes[1] :]

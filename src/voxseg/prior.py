@@ -104,6 +104,8 @@ class TumorStdStats:
         values = tuple(float(v) for v in values)
         if not values:
             raise ValueError("no usable cases")
+        if not np.isfinite(values).all():
+            raise ValueError(f"non-finite std among {values}")
         ordered = sorted(values)
         return cls(values, ordered[0], ordered[-1], ordered[(len(ordered) - 1) // 2])
 
@@ -281,21 +283,23 @@ def region_grow(
 
 
 def _tumor_std(flair, labels) -> float | None:
-    """FLAIR intensity std inside labeled tumor; None below two voxels."""
+    """FLAIR intensity std inside labeled tumor; None below two voxels or if not finite."""
     tumor = np.asarray(flair)[np.asarray(labels) != 0].astype(np.float64)
-    return float(np.std(tumor)) if tumor.size >= 2 else None
+    with np.errstate(invalid="ignore"):  # non-finite FLAIR gives a NaN std
+        std = float(np.std(tumor)) if tumor.size >= 2 else np.nan
+    return std if np.isfinite(std) else None
 
 
 def tumor_std_stats(cases) -> TumorStdStats:
     """Population std of FLAIR intensities inside labeled tumor, per case.
 
-    Cases with fewer than two tumor voxels are skipped with a warning;
-    raises when nothing usable remains.
+    Cases with fewer than two tumor voxels or a non-finite std are
+    skipped with a warning; raises when nothing usable remains.
     """
     stds = [_tumor_std(flair, labels) for flair, labels in cases]
     for i, std in enumerate(stds):
         if std is None:
-            warnings.warn(f"case {i}: fewer than 2 tumor voxels, skipped", stacklevel=2)
+            warnings.warn(f"case {i}: fewer than 2 tumor voxels or a non-finite std, skipped", stacklevel=2)
     return TumorStdStats.from_values(std for std in stds if std is not None)
 
 
@@ -305,8 +309,7 @@ def derive_delta(volumes) -> float:
     Falls back to the documented constant when no volume carries a usable
     tumor region. Unusable volumes are skipped silently.
     """
-    with np.errstate(invalid="ignore"):  # silent, as for skipped volumes: non-finite FLAIR gives NaN
-        stds = [_tumor_std(v.flair, v.labels) for v in volumes if v.labels is not None]
+    stds = [_tumor_std(v.flair, v.labels) for v in volumes if v.labels is not None]
     usable = [std for std in stds if std is not None]
     median = TumorStdStats.from_values(usable).median if usable else 0.0
     return median if median > 0 else DEFAULT_DELTA
@@ -351,19 +354,15 @@ def build_input(volume: MultiModalVolume, prior: np.ndarray | None) -> Tensor:
         if prior.shape != volume.dims:
             raise ValueError(f"prior dims {prior.shape} != volume dims {volume.dims}")
         channels.append((prior != 0).astype(np.float32))
-    stacked = np.stack(channels)[None]
-    return Tensor(stacked.astype(np.float32))
+    return Tensor(np.stack(channels)[None])
 
 
 def _zscore_nonzero(grid: np.ndarray) -> np.ndarray:
     grid = np.asarray(grid, dtype=np.float32)
     support = grid != 0
-    if support.sum() < 2:
-        return np.zeros_like(grid)
-    mean = grid[support].mean()
-    std = grid[support].std()
-    if std == 0:
-        return np.zeros_like(grid)
+    values = grid[support]
     out = np.zeros_like(grid)
-    out[support] = (grid[support] - mean) / std
+    std = values.std() if values.size >= 2 else 0
+    if std != 0:
+        out[support] = (values - values.mean()) / std
     return out

@@ -513,6 +513,20 @@ class TestNonFiniteInput:
         assert not out.exists()
 
 
+class TestMalformedCheckpoint:
+    def test_truncated_checkpoint_error_names_the_file(self, dataset, trained, tmp_path, capsys):
+        ckpt = tmp_path / "checkpoint.sgcp"
+        shutil.copy(trained / "config.json", tmp_path)
+        ckpt.write_bytes((trained / "checkpoint.sgcp").read_bytes()[:-4])
+        out = tmp_path / "out"
+        rc = main(["infer", "--checkpoint", str(ckpt), "--img", str(dataset / "case_001_img.sg3d"),
+                   "--out", str(out), "--passes", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: payload is ") and "manifest promises" in err
+        assert not out.exists()
+
+
 class TestManifestPlacement:
     def test_directory_with_suffix_holds_its_manifest(self, tmp_path):
         out = tmp_path / "data.v1"

@@ -529,6 +529,29 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError):
                 load_checkpoint(cut)
 
+    def test_truncated_file_error_names_the_file(self, tmp_path):
+        save_checkpoint(tmp_path / "full.sgcp", {"enc.w": np.ones((2, 3), dtype=np.float32)})
+        raw = (tmp_path / "full.sgcp").read_bytes()
+        path = tmp_path / "cut.sgcp"
+        path.write_bytes(raw[:-4])
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: payload is 20 bytes, manifest promises 24"
+        path.write_bytes(raw[:14])
+        for read in (load_checkpoint, read_manifest):
+            with pytest.raises(CheckpointError, match="manifest truncated") as info:
+                read(path)
+            assert str(info.value).startswith(f"{path}: ")
+
+    def test_bad_magic_error_names_the_file(self, tmp_path):
+        save_checkpoint(tmp_path / "full.sgcp", {"enc.w": np.ones((2, 3), dtype=np.float32)})
+        path = tmp_path / "bad.sgcp"
+        path.write_bytes(b"XXXX" + (tmp_path / "full.sgcp").read_bytes()[4:])
+        for read in (load_checkpoint, read_manifest):
+            with pytest.raises(CheckpointError) as info:
+                read(path)
+            assert str(info.value) == f"{path}: bad magic b'XXXX'"
+
     def test_non_utf8_name_raises(self, tmp_path):
         path = tmp_path / "bad.sgcp"
         name = b"\xff\xfe"

@@ -1,5 +1,8 @@
 """Phantom generation and dataset splitting tests."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -56,6 +59,29 @@ class TestGenPhantom:
         brain_mask = (flair != 0) & (vol.labels == 0)
         brain_mean = flair[brain_mask].mean()
         assert tumor_mean >= 3.0 * brain_mean
+
+    @pytest.mark.parametrize("dims, seed, case, sigma, digest", [
+        ((32, 32, 16), 0, 0, 4.0, "28daba39d51d42ed"),
+        ((32, 32, 16), 0, 1, 4.0, "b5af6b8c3c8d3d7f"),
+        ((64, 64, 32), 3, 1, 4.0, "50dd6c95e9dd8ed6"),
+        ((17, 23, 9), 5, 2, 0.0, "f0b4e7a83b781662"),
+        ((48, 40, 24), 11, 0, 2.5, "8d10ad00462dfb0e"),
+    ])
+    def test_golden_digest(self, dims, seed, case, sigma, digest):
+        # checkpoints, MC outputs and benchmark digests all start from these bytes
+        vol = gen_phantom(PhantomSpec(dims=dims, rng_seed=seed, noise_sigma=sigma), case)
+        got = hashlib.sha256(vol.modalities.tobytes() + vol.labels.tobytes()).hexdigest()[:16]
+        assert got == digest
+
+    def test_peak_memory_below_six_outputs(self):
+        spec = PhantomSpec(dims=(96, 96, 64), rng_seed=1)
+        tracemalloc.start()
+        try:
+            vol = gen_phantom(spec, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * vol.modalities.nbytes
 
     def test_dims_validation(self):
         with pytest.raises(ValueError, match="minimum"):

@@ -330,6 +330,22 @@ class TestTumorStdStats:
         assert stats.median == 2.0
         assert stats.min == 1.0 and stats.max == 4.0
 
+    @pytest.mark.parametrize("values", [[np.nan, 1.0, 2.0, 3.0], [3.0, 2.0, np.nan, 1.0], [1.0, np.inf]])
+    def test_non_finite_value_rejected(self, values):
+        # sorted() places a NaN by input order, so the summary would depend on case order
+        with pytest.raises(ValueError, match="non-finite"):
+            TumorStdStats.from_values(values)
+
+    def test_skips_non_finite_case_with_warning(self):
+        flair = np.zeros((1, 1, 3))
+        flair[0, 0] = [1.0, 2.0, 3.0]
+        labels = np.full((1, 1, 3), 1, dtype=np.uint8)
+        bad_flair = flair.copy()
+        bad_flair[0, 0, 1] = np.nan
+        with pytest.warns(UserWarning, match="case 0: .*non-finite std, skipped"):
+            stats = tumor_std_stats([(bad_flair, labels), (flair, labels)])
+        assert stats.per_case == (float(np.std([1.0, 2.0, 3.0])),)
+
 
 class TestGeneratePrior:
     def test_phantom_prior_overlaps_tumor(self):
@@ -430,6 +446,18 @@ class TestDeriveDelta:
             delta = derive_delta([no_tumor, *volumes])
         assert delta == want
         assert caught == []
+
+
+    def test_skips_non_finite_flair_volume_in_any_position(self):
+        from voxseg.prior import derive_delta
+
+        volumes = [gen_phantom(PhantomSpec(rng_seed=20), i) for i in range(3)]
+        mods = volumes[0].modalities.copy()
+        mods[(0, *np.argwhere(volumes[0].labels)[0])] = np.nan
+        nan_flair = MultiModalVolume(mods, volumes[0].labels)
+        want = derive_delta(volumes)
+        for at in range(len(volumes) + 1):
+            assert derive_delta([*volumes[:at], nan_flair, *volumes[at:]]) == want
 
 
 class TestBuildInput:
